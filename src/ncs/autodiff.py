@@ -336,19 +336,6 @@ def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
     return _emit(out, (x,), bw)
 
 
-def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """x[idx] along axis 0; backward scatter-adds."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = _out(x.data[idx], x)
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _emit(out, (x,), bw)
-
-
 def segment_sum(x: Tensor, seg: np.ndarray, n: int) -> Tensor:
     """Sum rows of x (M, D) into n bins given constant bin ids seg (M,)."""
     seg = np.asarray(seg, dtype=np.int64)
@@ -440,16 +427,21 @@ def _bilerp_coords(h: int, w: int, uv: np.ndarray):
 def grid_sample(grids: Tensor, idx: np.ndarray, uv: np.ndarray) -> Tensor:
     """Bilinear lookups: grids (P,C,H,W), constant row ids idx (M,), constant uv (M,2) -> (M,C).
 
-    Gradients flow into the grids only; uv is treated as data.
+    One (C,H,W) grid is taken as P=1, as conv3x3 takes one image, and a single uv
+    point (2,) gives a (C,) row. Gradients flow into the grids only; uv is treated as data.
     """
-    p, c, h, w = grids.data.shape
-    idx = np.asarray(idx, dtype=np.int64)
+    g = grids.data
+    squeezed = g.ndim == 3
+    if squeezed:
+        g = g[None]
+    p, c, h, w = g.shape
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     uv = np.asarray(uv, dtype=np.float64)
-    x0, x1, y0, y1, fx, fy = _bilerp_coords(h, w, uv)
-    dt = grids.data.dtype
+    out_shape = uv.shape[:-1] + (c,)
+    x0, x1, y0, y1, fx, fy = _bilerp_coords(h, w, uv.reshape(-1, 2))
+    dt = g.dtype
     wx = fx[:, None].astype(dt)
     wy = fy[:, None].astype(dt)
-    g = grids.data
     v00 = g[idx, :, y0, x0]
     v01 = g[idx, :, y0, x1]
     v10 = g[idx, :, y1, x0]
@@ -458,46 +450,25 @@ def grid_sample(grids: Tensor, idx: np.ndarray, uv: np.ndarray) -> Tensor:
     w01 = wx * (1 - wy)
     w10 = (1 - wx) * wy
     w11 = wx * wy
-    out = _out(v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11, grids)
+    out = _out((v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11).reshape(out_shape), grids)
     ch = np.arange(c)[None, :]
     rows = idx[:, None]
 
     def bw(gr):
+        gr = gr.reshape(-1, c)
         gg = np.zeros_like(g)
         np.add.at(gg, (rows, ch, y0[:, None], x0[:, None]), gr * w00)
         np.add.at(gg, (rows, ch, y0[:, None], x1[:, None]), gr * w01)
         np.add.at(gg, (rows, ch, y1[:, None], x0[:, None]), gr * w10)
         np.add.at(gg, (rows, ch, y1[:, None], x1[:, None]), gr * w11)
-        return (gg,)
+        return (gg[0] if squeezed else gg,)
 
     return _emit(out, (grids,), bw)
 
 
 def bilinear_sample(grid: Tensor, uv) -> Tensor:
     """Sample one (C,H,W) grid at a single uv point in [-1,1]^2 -> (C,)."""
-    c, h, w = grid.data.shape
-    uv = np.asarray(uv, dtype=np.float64).reshape(1, 2)
-    x0, x1, y0, y1, fx, fy = _bilerp_coords(h, w, uv)
-    dt = grid.data.dtype
-    wx, wy = dt.type(fx[0]), dt.type(fy[0])
-    g = grid.data
-    w00 = (1 - wx) * (1 - wy)
-    w01 = wx * (1 - wy)
-    w10 = (1 - wx) * wy
-    w11 = wx * wy
-    out_d = (g[:, y0[0], x0[0]] * w00 + g[:, y0[0], x1[0]] * w01
-             + g[:, y1[0], x0[0]] * w10 + g[:, y1[0], x1[0]] * w11)
-    out = _out(out_d, grid)
-
-    def bw(gr):
-        gg = np.zeros_like(g)
-        gg[:, y0[0], x0[0]] += gr * w00
-        gg[:, y0[0], x1[0]] += gr * w01
-        gg[:, y1[0], x0[0]] += gr * w10
-        gg[:, y1[0], x1[0]] += gr * w11
-        return (gg,)
-
-    return _emit(out, (grid,), bw)
+    return grid_sample(grid, 0, uv)
 
 
 # ---------------------------------------------------------------------------

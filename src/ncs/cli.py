@@ -28,7 +28,7 @@ from .errors import (AlignmentError, CheckpointError, ConfigError, CoverageError
 from .geometry import TriMesh, chamfer_distance, export_mesh, load_mesh, normalize_unit_sphere, sample_surface_arrays
 from .model import ModelParams, build_model, evaluate_batch, scale_details, transfer_details
 from .parameterization import embed_disk
-from .patching import extract_patches, patch_rows
+from .patching import extract_patches, face_pairs, patch_rows
 from .training import build_context, fit, vertex_batch
 
 log = logging.getLogger("ncs")
@@ -47,12 +47,14 @@ def _workers() -> int:
 
 @contextmanager
 def _stage(name: str):
-    """Prefix any module error with the pipeline stage it came from."""
+    """Prefix any module error with the pipeline stage it came from; the error
+    itself, with its type and attributes, propagates."""
     try:
         yield
     except (ConfigError, MeshError, TopologyError, NumericError, OutOfChartError,
             CoverageError, FrameDegenerateError, CheckpointError, AlignmentError) as e:
-        raise type(e)(f"{name}: {e}") from e
+        e.args = (f"{name}: {e}",)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -120,39 +122,28 @@ def _reconstruct_vertices(state, coarse_only=False):
 
 
 def _reconstruct_dense(state, res: int):
-    mesh, chart, patchset, params = state
+    _, chart, patchset, params = state
     xs = np.linspace(-1.0, 1.0, res)
-    located = {}
-    for iy, y in enumerate(xs):
-        for ix, x in enumerate(xs):
-            loc = chart.locate(np.array([x, y]))
-            if loc is not None:
-                located[(ix, iy)] = loc
-    if not located:
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")  # grid point ix * res + iy
+    q = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    tri, bary = chart.locate_many(q)
+    inside = tri >= 0
+    if not inside.any():
         raise NumericError("dense grid found no points inside the chart image")
-    keys = sorted(located)
-    index = {k: i for i, k in enumerate(keys)}
-    q = np.array([[xs[ix], xs[iy]] for ix, iy in keys])
-    faces64 = np.array([located[k][0] for k in keys], dtype=np.int64)
-    bary = np.array([located[k][1] for k in keys])
-
-    from .training import _pairs_for
-    ctx = build_context(mesh, chart, patchset)
-    pair_sample, pair_patch, pair_uv, pair_w = _pairs_for(ctx, faces64, bary)
-    positions, fallbacks = _eval_positions(params, q.astype(np.float32), pair_sample,
+    pair_sample, pair_patch, pair_uv, pair_w = face_pairs(patchset, tri[inside], bary[inside])
+    positions, fallbacks = _eval_positions(params, q[inside].astype(np.float32), pair_sample,
                                            pair_patch, pair_uv.astype(np.float32),
                                            pair_w.astype(np.float32))
 
-    tris = []
-    for iy in range(res - 1):
-        for ix in range(res - 1):
-            c00, c10, c01, c11 = (ix, iy), (ix + 1, iy), (ix, iy + 1), (ix + 1, iy + 1)
-            if all(c in index for c in (c00, c10, c01, c11)):
-                tris.append((index[c00], index[c10], index[c11]))
-                tris.append((index[c00], index[c11], index[c01]))
-    if not tris:
+    # two triangles per grid cell with all four corners inside, cells in (iy, ix) order
+    index = np.where(inside, np.cumsum(inside) - 1, -1).reshape(res, res)
+    c00, c10, c01, c11 = (c.T.ravel() for c in (index[:-1, :-1], index[1:, :-1],
+                                                  index[:-1, 1:], index[1:, 1:]))
+    full = (c00 >= 0) & (c10 >= 0) & (c01 >= 0) & (c11 >= 0)
+    tris = np.stack([c00, c10, c11, c00, c11, c01], axis=1)[full].reshape(-1, 3)
+    if not len(tris):
         raise NumericError("dense grid resolution too small to triangulate the chart")
-    return TriMesh(positions, np.asarray(tris, dtype=np.int64)), fallbacks
+    return TriMesh(positions, tris), fallbacks
 
 
 def _chamfer_vs_mesh(recon: TriMesh, gt: TriMesh, n_samples: int) -> float:
@@ -220,6 +211,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.mode == "dense" and args.res < 2:
+        raise ConfigError(f"--res must be at least 2, got {args.res}")
     _, state = _restore(args.checkpoint)
     with _stage("reconstruction"):
         if args.mode == "vertices":
@@ -234,6 +227,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     _, state = _restore(args.checkpoint)
     with _stage("mesh"):
         gt = normalize_unit_sphere(load_mesh(args.mesh))
@@ -258,6 +253,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_edit(args) -> int:
+    if args.factor < 0:
+        raise ConfigError(f"--factor must be >= 0, got {args.factor}")
     _, state = _restore(args.checkpoint)
     mesh, chart, patchset, params = state
     with _stage("edit"):

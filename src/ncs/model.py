@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import AlignmentError, FrameDegenerateError, NumericError, OutOfChartError
-from .parameterization import DiskChart, global_to_local
-from .patching import PatchSet, blend_weights
+from .errors import AlignmentError, FrameDegenerateError, NumericError
+from .parameterization import DiskChart
+from .patching import PatchSet, pairs_for_points
 
 MODES = ("vector", "normal", "pca")
 
@@ -349,24 +349,9 @@ def evaluate_batch(params: ModelParams, q, pair_sample, pair_patch, pair_uv, pai
     return (out, p, info) if return_coarse else (out, info)
 
 
-def _point_pairs(params: ModelParams, patchset: PatchSet, global_chart: DiskChart, q):
-    """Covering-patch pair arrays for a single global 2D point."""
-    weights = blend_weights(patchset, global_chart, q)
-    pair_patch = np.array([pid for pid, _ in weights], dtype=np.int64)
-    pair_w = np.array([w for _, w in weights], dtype=np.float64)
-    pair_uv = np.empty((len(weights), 2))
-    for i, (pid, _) in enumerate(weights):
-        cp = global_to_local(global_chart, patchset.patches[pid].chart, q)
-        if cp is None:
-            raise OutOfChartError("covering patch does not contain the query point")
-        pair_uv[i] = cp.uv
-    pair_sample = np.zeros(len(weights), dtype=np.int64)
-    return pair_sample, pair_patch, pair_uv, pair_w
-
-
 def fine_forward(params: ModelParams, patchset: PatchSet, global_chart: DiskChart, q) -> np.ndarray:
     """Blended fine displacement (canonical coordinates, before any frame) at one point."""
-    ps, pp, puv, pw = _point_pairs(params, patchset, global_chart, q)
+    ps, pp, puv, pw = pairs_for_points(patchset, global_chart, q)
     d = _fine_displacement(params, ps, pp, puv.astype(params.dtype()),
                            pw.astype(params.dtype()), 1, None)
     return d.data[0].astype(np.float64)
@@ -374,7 +359,7 @@ def fine_forward(params: ModelParams, patchset: PatchSet, global_chart: DiskChar
 
 def evaluate(params: ModelParams, patchset: PatchSet, global_chart: DiskChart, q) -> np.ndarray:
     """Full model at one global 2D point: coarse position plus framed displacement."""
-    ps, pp, puv, pw = _point_pairs(params, patchset, global_chart, q)
+    ps, pp, puv, pw = pairs_for_points(patchset, global_chart, q)
     qa = np.asarray(q, dtype=np.float64).reshape(1, 2)
     out, _ = evaluate_batch(params, qa, ps, pp, puv.astype(params.dtype()),
                             pw.astype(params.dtype()))
@@ -401,11 +386,10 @@ def feature_vectors(params: ModelParams, patchset: PatchSet, global_chart: DiskC
     grids = decode_grids(params)
     if params.detail_scale != 1.0:
         grids = ad.scale(grids, params.detail_scale)
+    ps, pp, puv, pw = pairs_for_points(patchset, global_chart, qs)
+    feats = ad.grid_sample(grids, pp, puv).data
     out = np.zeros((len(qs), params.config.cnn_channels))
-    for i, q in enumerate(qs):
-        ps, pp, puv, pw = _point_pairs(params, patchset, global_chart, q)
-        feats = ad.grid_sample(grids, pp, puv).data
-        out[i] = (feats * pw[:, None]).sum(axis=0)
+    np.add.at(out, ps, feats * pw[:, None])
     return out
 
 

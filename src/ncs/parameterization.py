@@ -25,6 +25,8 @@ _BARY_TOL = 1e-9
 _WEIGHT_CLAMP = 1e-8
 # target relative residual of the interior solve
 _SOLVE_TOL = 1e-10
+# points per batch of point location
+_LOCATE_CHUNK = 4096
 
 
 @dataclass
@@ -112,21 +114,46 @@ class DiskChart:
 
     def locate(self, q) -> tuple[int, np.ndarray] | None:
         """Containing triangle and barycentric weights of a 2D point, or None."""
+        tri, bary = self.locate_many(np.reshape(q, (1, 2)))
+        return None if tri[0] < 0 else (int(tri[0]), bary[0])
+
+    def locate_many(self, q) -> tuple[np.ndarray, np.ndarray]:
+        """Containing triangle (N,) and barycentric weights (N,3) of N 2D points.
+
+        Points outside the chart get triangle -1 and zero weights. A point on a
+        shared edge gets the lowest-numbered face that accepts it.
+        """
         self._ensure_locate()
-        q = np.asarray(q, dtype=np.float64)
-        for fid in self._grid.candidates(q):
-            d = q - self._bary_origin[fid]
+        q = np.asarray(q, dtype=np.float64).reshape(-1, 2)
+        tri = np.full(len(q), -1, dtype=np.int64)
+        bary = np.zeros((len(q), 3))
+        grid = self._grid
+        # chunks bound the (point, candidate face) arrays to a few MB
+        for s in range(0, len(q), _LOCATE_CHUNK):
+            qc = q[s:s + _LOCATE_CHUNK]
+            cell = grid.cells(qc)
+            starts = grid.starts[cell]
+            counts = grid.starts[cell + 1] - starts
+            pt = np.repeat(np.arange(len(qc)), counts)
+            fid = grid.face_ids[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(len(pt))]
+            d = qc[pt] - self._bary_origin[fid]
             m = self._bary_inv[fid]
-            b1 = m[0, 0] * d[0] + m[0, 1] * d[1]
-            b2 = m[1, 0] * d[0] + m[1, 1] * d[1]
+            b1 = m[:, 0, 0] * d[:, 0] + m[:, 0, 1] * d[:, 1]
+            b2 = m[:, 1, 0] * d[:, 0] + m[:, 1, 1] * d[:, 1]
             b0 = 1.0 - b1 - b2
-            if b0 >= -_BARY_TOL and b1 >= -_BARY_TOL and b2 >= -_BARY_TOL:
-                return int(fid), np.array([b0, b1, b2])
-        return None
+            hit = np.flatnonzero((b0 >= -_BARY_TOL) & (b1 >= -_BARY_TOL) & (b2 >= -_BARY_TOL))
+            # candidates run in ascending face order per point: keep each point's first hit
+            first = hit[np.diff(pt[hit], prepend=-1) != 0]
+            rows = s + pt[first]
+            tri[rows] = fid[first]
+            bary[rows] = np.stack([b0[first], b1[first], b2[first]], axis=1)
+        return tri, bary
 
 
 class _LocateGrid:
-    """Uniform 2D bucket grid over the chart's bounding box."""
+    """Uniform 2D bucket grid over the chart's bounding box, as CSR arrays: bucket
+    b holds faces face_ids[starts[b]:starts[b + 1]] in ascending order, and bucket
+    res * res, for points outside the grid, is empty."""
 
     def __init__(self, tri_uv: np.ndarray):
         nf = len(tri_uv)
@@ -135,25 +162,25 @@ class _LocateGrid:
         hi = tri_uv.reshape(-1, 2).max(axis=0) + 1e-9
         self.lo = lo
         self.inv_cell = self.res / np.maximum(hi - lo, 1e-12)
-        buckets: list[list[int]] = [[] for _ in range(self.res * self.res)]
         mins = tri_uv.min(axis=1)
         maxs = tri_uv.max(axis=1)
         i0 = np.clip(((mins - lo) * self.inv_cell).astype(int), 0, self.res - 1)
         i1 = np.clip(((maxs - lo) * self.inv_cell).astype(int), 0, self.res - 1)
-        for fid in range(nf):
-            for gy in range(i0[fid, 1], i1[fid, 1] + 1):
-                row = gy * self.res
-                for gx in range(i0[fid, 0], i1[fid, 0] + 1):
-                    buckets[row + gx].append(fid)
-        self._buckets = [np.asarray(b, dtype=np.int64) for b in buckets]
-        self._empty = np.empty(0, dtype=np.int64)
+        nx = i1[:, 0] - i0[:, 0] + 1
+        counts = nx * (i1[:, 1] - i0[:, 1] + 1)
+        fid = np.repeat(np.arange(nf), counts)
+        k = np.arange(len(fid)) - np.repeat(np.cumsum(counts) - counts, counts)
+        cell = (i0[fid, 1] + k // nx[fid]) * self.res + i0[fid, 0] + k % nx[fid]
+        order = np.argsort(cell, kind="stable")
+        self.face_ids = fid[order]
+        self.starts = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=self.res * self.res + 1))])
 
-    def candidates(self, q: np.ndarray) -> np.ndarray:
-        cx, cy = (q - self.lo) * self.inv_cell
-        gx, gy = int(cx), int(cy)
-        if not (0 <= gx < self.res and 0 <= gy < self.res):
-            return self._empty
-        return self._buckets[gy * self.res + gx]
+    def cells(self, q: np.ndarray) -> np.ndarray:
+        """Bucket index of each point (N,2); the empty bucket res * res outside the grid."""
+        c = (q - self.lo) * self.inv_cell
+        ok = ((c >= 0.0) & (c < self.res)).all(axis=1)
+        g = np.where(ok[:, None], c, 0.0).astype(np.int64)
+        return np.where(ok, g[:, 1] * self.res + g[:, 0], self.res * self.res)
 
 
 # ---------------------------------------------------------------------------

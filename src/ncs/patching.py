@@ -4,7 +4,16 @@ Patches are grown around randomly chosen centers out to a geodesic radius (a
 fraction of the mesh's maximum axis extent), marked forbidden for later center
 picks with a given probability, and each gets its own disk chart. Blending
 weights come from the 2D distance to the patch chart's boundary polygon: positive
-inside a patch, zero on its rim, normalized over all covering patches.
+inside a patch, zero on its rim, normalized over all covering patches, and uniform
+over them where every one gives zero (the sum is <= 0).
+
+All weight queries take one batched path. `face_pairs` turns samples given as
+(parent face, barycentric weights) into (sample, patch, local uv, weight) pair
+arrays through the per-face pair table `PatchSet.face_pair_table`;
+`pairs_for_points` locates global 2D points first, and `blend_weights` is its
+one-point view. Distances come from each chart's inward edge lines
+(`PatchSet.line_pack`), exact because the chart polygons are convex;
+`boundary_signed_distance` is the polygon reference they are tested against.
 """
 
 from __future__ import annotations
@@ -48,8 +57,8 @@ class PatchSet:
     n_faces: int
     face_cover: list[np.ndarray]
     vertex_cover: list[np.ndarray]
-    _boundary_pack: tuple | None = field(default=None, repr=False, compare=False)
     _line_pack: tuple | None = field(default=None, repr=False, compare=False)
+    _face_pairs: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_patches(self) -> int:
@@ -61,23 +70,6 @@ class PatchSet:
     def overlap_histogram(self) -> dict[int, int]:
         counts = np.array([len(c) for c in self.vertex_cover])
         return {int(k): int((counts == k).sum()) for k in np.unique(counts)}
-
-    def boundary_pack(self):
-        """Padded per-patch boundary segment arrays for batched distance queries."""
-        if self._boundary_pack is None:
-            polys = [p.chart.uv[p.chart.boundary] for p in self.patches]
-            emax = max(len(b) for b in polys)
-            n = len(polys)
-            seg_a = np.full((n, emax, 2), 1e9)
-            seg_d = np.zeros((n, emax, 2))
-            for i, poly in enumerate(polys):
-                a = poly
-                b = np.roll(poly, -1, axis=0)
-                seg_a[i, : len(poly)] = a
-                seg_d[i, : len(poly)] = b - a
-            len2 = np.maximum(np.einsum("ped,ped->pe", seg_d, seg_d), 1e-300)
-            self._boundary_pack = (seg_a, seg_d, len2)
-        return self._boundary_pack
 
     def line_pack(self):
         """Padded inward edge-line data (nx, ny, c) per patch: for a point inside a
@@ -107,6 +99,30 @@ class PatchSet:
                 c[i, : len(pts)] = nxi * pts[:, 0] + nyi * pts[:, 1]
             self._line_pack = (nx, ny, c)
         return self._line_pack
+
+    def face_pair_table(self):
+        """Per-face (patch, corner uv) pairs as CSR arrays (offsets (F+1,), patch (T,),
+        uv (T,3,2)): face f's pairs are rows offsets[f]:offsets[f + 1], in face_cover
+        order, and uv holds the patch-chart uv of the face's three corners."""
+        if self._face_pairs is None:
+            counts = np.array([len(c) for c in self.face_cover], dtype=np.int64)
+            if (counts == 0).any():
+                raise CoverageError(f"face {int(np.argmin(counts))} is covered by no patch")
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            pair_patch = np.concatenate(self.face_cover)
+            pair_face = np.repeat(np.arange(self.n_faces), counts)
+            # every patch face as one sorted key (orig face, patch) -> its corner uv
+            charts = [p.chart for p in self.patches]
+            keys = np.concatenate([c.orig_face_ids * self.n_patches + i for i, c in enumerate(charts)])
+            corner_uv = np.concatenate([c.uv[c.faces] for c in charts])
+            order = np.argsort(keys)
+            keys = keys[order]
+            want = pair_face * self.n_patches + pair_patch
+            pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            if (keys[pos] != want).any():
+                raise CoverageError("face_cover lists a patch that does not contain the face")
+            self._face_pairs = (offsets, pair_patch, corner_uv[order[pos]])
+        return self._face_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -346,33 +362,40 @@ def normalize_pair_weights(raw: np.ndarray, pair_sample: np.ndarray, n_samples: 
     return w
 
 
-def blend_weights(patchset: PatchSet, global_chart: DiskChart, q) -> list[tuple[int, float]]:
-    """Normalized blending weights of all patches covering a global 2D point.
+def face_pairs(patchset: PatchSet, faces: np.ndarray, bary: np.ndarray):
+    """Pair arrays (sample id, patch id, local uv, normalized weight) for samples
+    given as parent-mesh faces (N,) and barycentric weights (N,3).
 
-    Zero-weight patches are omitted; if every covering patch gives zero (the point
-    sits on all their boundaries), weights fall back to uniform over the covering set.
+    Pairs are grouped by sample in ascending order, each group in face_cover order.
     """
-    q = np.asarray(q, dtype=np.float64)
-    loc = global_chart.locate(q)
-    if loc is None:
-        raise OutOfChartError(f"point {q} is outside the global chart")
-    tri, bary = loc
-    orig = tri if global_chart.orig_face_ids is None else int(global_chart.orig_face_ids[tri])
-    cover = patchset.face_cover[orig]
-    if len(cover) == 0:
-        raise CoverageError(f"face {orig} is covered by no patch")
-    raw = []
-    for pid in cover:
-        chart = patchset.patches[pid].chart
-        pf = chart.face_of_orig(orig)
-        uv_local = bary @ chart.uv[chart.faces[pf]]
-        raw.append(max(0.0, -boundary_signed_distance(chart, uv_local)))
-    total = sum(raw)
-    if total <= 1e-12:
-        # the point sits on (or within float fuzz of) every covering patch boundary
-        u = 1.0 / len(cover)
-        return [(int(pid), u) for pid in cover]
-    return [(int(pid), w / total) for pid, w in zip(cover, raw) if w > 0.0]
+    offsets, table_patch, table_uv = patchset.face_pair_table()
+    faces = np.asarray(faces, dtype=np.int64)
+    counts = offsets[faces + 1] - offsets[faces]
+    pair_sample = np.repeat(np.arange(len(faces)), counts)
+    flat = np.repeat(offsets[faces] - np.cumsum(counts) + counts, counts) + np.arange(len(pair_sample))
+    pair_patch = table_patch[flat]
+    pair_uv = np.einsum("mk,mkd->md", bary[pair_sample], table_uv[flat])
+    raw = pair_boundary_distances(patchset, pair_patch, pair_uv)
+    pair_w = normalize_pair_weights(raw, pair_sample, len(faces))
+    return pair_sample, pair_patch, pair_uv, pair_w
+
+
+def pairs_for_points(patchset: PatchSet, global_chart: DiskChart, q):
+    """face_pairs for global 2D points (N,2), or one point (2,); raises
+    OutOfChartError if any point lies outside the global chart."""
+    q = np.asarray(q, dtype=np.float64).reshape(-1, 2)
+    tri, bary = global_chart.locate_many(q)
+    if (tri < 0).any():
+        raise OutOfChartError(f"point {q[np.argmax(tri < 0)]} is outside the global chart")
+    faces = tri if global_chart.orig_face_ids is None else global_chart.orig_face_ids[tri]
+    return face_pairs(patchset, faces, bary)
+
+
+def blend_weights(patchset: PatchSet, global_chart: DiskChart, q) -> list[tuple[int, float]]:
+    """Normalized blending weights [(patch, weight)] of the patches covering a global
+    2D point, with zero-weight patches omitted (pairs_for_points keeps them)."""
+    _, pair_patch, _, pair_w = pairs_for_points(patchset, global_chart, q)
+    return [(int(p), float(w)) for p, w in zip(pair_patch, pair_w) if w > 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CoverageError, FrameDegenerateError, NumericError
+from .errors import FrameDegenerateError, NumericError
 from .geometry import TriMesh, face_areas
 from .model import ModelParams, evaluate_batch
 from .parameterization import DiskChart
-from .patching import PatchSet, normalize_pair_weights, pair_boundary_distances
+from .patching import PatchSet, face_pairs
 
 
 @dataclass
@@ -91,9 +91,6 @@ class TrainContext:
     face_uv: np.ndarray  # (F,3,2) global chart uv of each face corner
     face_xyz: np.ndarray  # (F,3,3)
     area_cum: np.ndarray  # (F,)
-    pair_offsets: np.ndarray  # (F+1,)
-    pair_patch_flat: np.ndarray  # (T,)
-    pair_uv_flat: np.ndarray  # (T,3,2) patch-chart uv of the face corners
 
 
 def build_context(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet) -> TrainContext:
@@ -102,20 +99,7 @@ def build_context(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet) ->
     face_xyz = mesh.vertices[mesh.faces]
     areas = face_areas(mesh)
     cum = np.cumsum(areas)
-
-    offsets = np.zeros(mesh.n_faces + 1, dtype=np.int64)
-    pair_patch: list[int] = []
-    pair_uv: list[np.ndarray] = []
-    for f in range(mesh.n_faces):
-        cover = patchset.face_cover[f]
-        if len(cover) == 0:
-            raise CoverageError(f"face {f} is covered by no patch")
-        offsets[f + 1] = offsets[f] + len(cover)
-        for pid in cover:
-            chart = patchset.patches[pid].chart
-            pf = chart.face_of_orig(f)
-            pair_patch.append(int(pid))
-            pair_uv.append(chart.uv[chart.faces[pf]])
+    patchset.face_pair_table()  # built here, so batches never pay for it
     return TrainContext(
         mesh=mesh,
         global_chart=global_chart,
@@ -123,30 +107,7 @@ def build_context(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet) ->
         face_uv=face_uv,
         face_xyz=face_xyz,
         area_cum=cum,
-        pair_offsets=offsets,
-        pair_patch_flat=np.asarray(pair_patch, dtype=np.int64),
-        pair_uv_flat=np.asarray(pair_uv, dtype=np.float64).reshape(-1, 3, 2),
     )
-
-
-def _ragged_flat_indices(offsets: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened table indices of every (sample, covering patch) pair."""
-    counts = offsets[faces + 1] - offsets[faces]
-    m = int(counts.sum())
-    pair_sample = np.repeat(np.arange(len(faces)), counts)
-    starts = np.repeat(offsets[faces], counts)
-    within = np.arange(m) - np.repeat(np.cumsum(counts) - counts, counts)
-    return pair_sample, starts + within
-
-
-def _pairs_for(ctx: TrainContext, faces: np.ndarray, bary: np.ndarray):
-    """Pair arrays (sample id, patch id, local uv, normalized weight) for given samples."""
-    pair_sample, flat = _ragged_flat_indices(ctx.pair_offsets, faces)
-    pair_patch = ctx.pair_patch_flat[flat]
-    pair_uv = np.einsum("mk,mkd->md", bary[pair_sample], ctx.pair_uv_flat[flat])
-    raw = pair_boundary_distances(ctx.patchset, pair_patch, pair_uv)
-    pair_w = normalize_pair_weights(raw, pair_sample, len(faces))
-    return pair_sample, pair_patch, pair_uv, pair_w
 
 
 def sample_batch(ctx: TrainContext, n: int, seed: int) -> TrainBatch:
@@ -159,7 +120,7 @@ def sample_batch(ctx: TrainContext, n: int, seed: int) -> TrainBatch:
     bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
     q64 = np.einsum("nk,nkd->nd", bary, ctx.face_uv[faces])
     t64 = np.einsum("nk,nkd->nd", bary, ctx.face_xyz[faces])
-    pair_sample, pair_patch, pair_uv, pair_w = _pairs_for(ctx, faces, bary)
+    pair_sample, pair_patch, pair_uv, pair_w = face_pairs(ctx.patchset, faces, bary)
     return TrainBatch(
         q=q64.astype(np.float32),
         target=t64.astype(np.float32),
@@ -177,19 +138,17 @@ def vertex_batch(ctx: TrainContext) -> TrainBatch:
     """One sample per mesh vertex (one-hot barycentric in its lowest incident face);
     used by vertices-mode reconstruction and evaluation."""
     nv = ctx.mesh.n_vertices
-    first_face = np.full(nv, -1, dtype=np.int64)
+    faces = np.full(nv, -1, dtype=np.int64)
     corner = np.zeros(nv, dtype=np.int64)
-    for fid in range(ctx.mesh.n_faces - 1, -1, -1):
-        for k in range(3):
-            v = ctx.mesh.faces[fid, k]
-            first_face[v] = fid
-            corner[v] = k
+    # first occurrence with corners reversed: the lowest face, its last matching corner
+    vids, pos = np.unique(ctx.mesh.faces[:, ::-1].ravel(), return_index=True)
+    faces[vids] = pos // 3
+    corner[vids] = 2 - pos % 3
     bary = np.zeros((nv, 3))
     bary[np.arange(nv), corner] = 1.0
-    faces = first_face
     q64 = np.einsum("nk,nkd->nd", bary, ctx.face_uv[faces])
     t64 = np.einsum("nk,nkd->nd", bary, ctx.face_xyz[faces])
-    pair_sample, pair_patch, pair_uv, pair_w = _pairs_for(ctx, faces, bary)
+    pair_sample, pair_patch, pair_uv, pair_w = face_pairs(ctx.patchset, faces, bary)
     return TrainBatch(
         q=q64.astype(np.float32), target=t64.astype(np.float32),
         face=faces, bary=bary, target64=t64,

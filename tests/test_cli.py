@@ -114,6 +114,36 @@ class TestExitCodes:
         bad.write_bytes(b"NCSCKPT\x00" + b"\x01\x00\x00\x00" + b"garbage")
         assert main(["reconstruct", str(bad), "-o", str(tmp_path / "o.obj")]) == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_eval_nonpositive_samples_is_2(self, fitted_run, mesh_file, samples, capsys):
+        _, out = fitted_run
+        assert main(["eval", str(out / "model.ncs"), str(mesh_file), "--samples", samples]) == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_edit_negative_factor_is_2(self, fitted_run, tmp_path, capsys):
+        _, out = fitted_run
+        assert main(["edit", str(out / "model.ncs"), "--factor", "-1",
+                     "-o", str(tmp_path / "e.obj")]) == 2
+        assert "--factor" in capsys.readouterr().err
+        assert not (tmp_path / "e.obj").exists()
+
+    @pytest.mark.parametrize("res", ["-1", "0", "1"])
+    def test_dense_res_below_two_is_2(self, fitted_run, tmp_path, res, capsys):
+        _, out = fitted_run
+        assert main(["reconstruct", str(out / "model.ncs"), "--mode", "dense", "--res", res,
+                     "-o", str(tmp_path / "d.obj")]) == 2
+        assert "--res" in capsys.readouterr().err
+
+    def test_stage_keeps_error_type_and_attributes(self):
+        from ncs.cli import _stage
+        from ncs.errors import FrameDegenerateError
+        mask = np.array([True, False])
+        with pytest.raises(FrameDegenerateError) as info:
+            with _stage("training"):
+                raise FrameDegenerateError("2 degenerate frame(s)", mask=mask)
+        assert info.value.mask is mask
+        assert str(info.value) == "training: 2 degenerate frame(s)"
+
 
 class TestFit:
     def test_zero_iterations_writes_checkpoint(self, tmp_path, mesh_file, capsys):
@@ -286,6 +316,17 @@ class TestWorkers:
         monkeypatch.setenv("NCS_WORKERS", "3")
         main(["reconstruct", str(out / "model.ncs"), "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_worker_count_does_not_change_dense_results(self, fitted_run, tmp_path, monkeypatch):
+        _, out = fitted_run
+        objs = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("NCS_WORKERS", workers)
+            objs.append(tmp_path / f"dense{workers}.obj")
+            # res 128 puts ~13K grid points in the chart: two evaluation chunks
+            assert main(["reconstruct", str(out / "model.ncs"), "--mode", "dense", "--res", "128",
+                         "-o", str(objs[-1])]) == 0
+        assert objs[0].read_bytes() == objs[1].read_bytes()
 
     def test_param_table_exact_numbers(self, tmp_path, mesh_file, capsys):
         cfg, out = write_config(tmp_path, mesh_file, warmup=0, total=0)

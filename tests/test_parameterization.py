@@ -128,6 +128,57 @@ class TestChartLift:
             assert np.linalg.norm(la - lb) <= sigma1_max * np.linalg.norm(a - b) * (1 + 1e-9)
 
 
+def _locate_reference(chart, q):
+    """First face in index order whose barycentric weights accept q, scanning every
+    face: the bucket-grid-free reference for DiskChart.locate_many."""
+    t = chart.uv[chart.faces]
+    e1 = t[:, 1] - t[:, 0]
+    e2 = t[:, 2] - t[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    d = q - t[:, 0]
+    b1 = (e2[:, 1] / det) * d[:, 0] + (-e2[:, 0] / det) * d[:, 1]
+    b2 = (-e1[:, 1] / det) * d[:, 0] + (e1[:, 0] / det) * d[:, 1]
+    b0 = 1.0 - b1 - b2
+    ok = np.flatnonzero((b0 >= -1e-9) & (b1 >= -1e-9) & (b2 >= -1e-9))
+    if len(ok) == 0:
+        return -1, np.zeros(3)
+    f = ok[0]
+    return f, np.array([b0[f], b1[f], b2[f]])
+
+
+class TestLocateMany:
+    def test_matches_reference_and_locate(self, bumpy16):
+        _, chart, _, _ = bumpy16
+        corners = chart.uv[chart.faces]
+        xs = np.linspace(-1.05, 1.05, 23)
+        q = np.concatenate([
+            np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2),
+            chart.uv,  # vertices: shared by up to six faces
+            0.5 * (corners[:, 0] + corners[:, 1]),  # edge midpoints
+            [[3.0, 0.0], [0.0, -1.5], [1.0, 1.0]],  # outside the disk
+        ])
+        tri, bary = chart.locate_many(q)
+        assert (tri >= 0).any() and (tri < 0).any()
+        for i, qi in enumerate(q):
+            f, b = _locate_reference(chart, qi)
+            assert tri[i] == f
+            assert np.array_equal(bary[i], b)
+            loc = chart.locate(qi)
+            if f < 0:
+                assert loc is None
+            else:
+                assert loc[0] == f and np.array_equal(loc[1], b)
+
+    def test_chunks_do_not_change_results(self, bumpy16, monkeypatch):
+        _, chart, _, _ = bumpy16
+        q = np.random.default_rng(0).uniform(-1.0, 1.0, size=(500, 2))
+        tri, bary = chart.locate_many(q)
+        import ncs.parameterization as par
+        monkeypatch.setattr(par, "_LOCATE_CHUNK", 7)
+        tri7, bary7 = chart.locate_many(q)
+        assert np.array_equal(tri, tri7) and np.array_equal(bary, bary7)
+
+
 @pytest.fixture(scope="module")
 def setup(bumpy16):
     mesh, chart, patchset, _ = bumpy16

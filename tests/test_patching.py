@@ -184,6 +184,30 @@ class TestBlendWeights:
             prev_w = w
         assert last_seen is not None
 
+    def test_matches_vertex_batch(self, bumpy16):
+        # blend_weights and vertex_batch share one weight rule. At a vertex on the rim
+        # of every covering patch all distances are 0 up to float fuzz, and the two
+        # paths' barycentric weights differ in the last bits, so there the fuzz
+        # decides between uniform and one-patch weights; only validity is checked.
+        from ncs.training import vertex_batch
+        mesh, chart, patchset, ctx = bumpy16
+        vb = vertex_batch(ctx)
+        rim = [set(p.vertex_ids[p.chart.boundary].tolist()) for p in patchset.patches]
+        n_rim = 0
+        for vid in range(mesh.n_vertices):
+            rows = vb.pair_sample == vid
+            batched = {int(p): float(w) for p, w in zip(vb.pair_patch[rows], vb.pair_w[rows]) if w > 0}
+            point = dict(blend_weights(patchset, chart, chart.uv[vid]))
+            cover = set(patchset.vertex_cover[vid].tolist())
+            if all(vid in rim[pid] for pid in cover):
+                n_rim += 1
+                for w in (point, batched):
+                    assert set(w) <= cover and sum(w.values()) == pytest.approx(1.0, abs=1e-6)
+                continue
+            for pid in set(point) | set(batched):
+                assert point.get(pid, 0.0) == pytest.approx(batched.get(pid, 0.0), abs=1e-6), vid
+        assert 0 < n_rim < mesh.n_vertices // 4
+
     def test_normalize_pair_weights_fallback(self):
         raw = np.array([0.0, 0.0, 0.2, 0.3])
         seg = np.array([0, 0, 1, 1])
