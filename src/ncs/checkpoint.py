@@ -269,23 +269,15 @@ def restore_state(ckpt: Checkpoint):
     global_chart = DiskChart(mesh.vertices, mesh.faces, ckpt.global_uv, ckpt.global_boundary)
 
     patches = []
-    face_cover: list[list[int]] = [[] for _ in range(mesh.n_faces)]
-    vertex_cover: list[list[int]] = [[] for _ in range(mesh.n_vertices)]
     for i, pd in enumerate(ckpt.patches):
         chart = DiskChart(mesh.vertices[pd["vertex_ids"]], pd["faces"], pd["uv"], pd["boundary"],
                           orig_vertex_ids=pd["vertex_ids"], orig_face_ids=pd["orig_face_ids"])
         patches.append(Patch(index=i, center=pd["center"], vertex_ids=pd["vertex_ids"],
                              chart=chart, forbade=pd["forbade"]))
-        for f in pd["orig_face_ids"]:
-            face_cover[int(f)].append(i)
-        for v in pd["vertex_ids"]:
-            vertex_cover[int(v)].append(i)
     pm = ckpt.patch_meta
     patchset = PatchSet(
         patches=patches, radius_frac=pm["radius_frac"], forbid_prob=pm["forbid_prob"],
         radius=pm["radius"], seed=pm["seed"], n_vertices=mesh.n_vertices, n_faces=mesh.n_faces,
-        face_cover=[np.asarray(c, dtype=np.int64) for c in face_cover],
-        vertex_cover=[np.asarray(c, dtype=np.int64) for c in vertex_cover],
     )
 
     a = ckpt.arch

@@ -172,18 +172,28 @@ def face_areas(mesh: TriMesh) -> np.ndarray:
     return _areas_of(mesh.vertices, mesh.faces)
 
 
+def mesh_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected edges of a triangle list: (edges (E,2), edge_of (F,3)).
+
+    Each edge row holds (low, high) vertex ids, and the rows are sorted. Entry
+    edge_of[f, k] is the row of face f's edge from corner k to corner k + 1 (mod 3).
+    """
+    f = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    g = np.roll(f, -1, axis=1)
+    n = int(f.max()) + 1 if f.size else 1
+    keys, edge_of = np.unique(np.minimum(f, g) * n + np.maximum(f, g), return_inverse=True)
+    return np.stack([keys // n, keys % n], axis=1), edge_of.reshape(-1, 3)
+
+
 def _warn_non_manifold(mesh: TriMesh, name: str) -> None:
-    e = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    _, counts = np.unique(e, axis=0, return_counts=True)
+    counts = np.bincount(mesh_edges(mesh.faces)[1].ravel())
     if (counts > 2).any():
         log.warning("%s: non-manifold mesh (%d edge(s) shared by >2 faces)", name, int((counts > 2).sum()))
 
 
 def edge_graph(mesh: TriMesh) -> csr_matrix:
     """Symmetric sparse adjacency with Euclidean edge lengths as weights."""
-    e = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]])
-    e = np.unique(np.sort(e, axis=1), axis=0)
+    e, _ = mesh_edges(mesh.faces)
     w = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
     n = mesh.n_vertices
     return csr_matrix(

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import bicgstab, spsolve
 
 from .errors import NumericError, OutOfChartError, TopologyError
-from .geometry import TriMesh
+from .geometry import TriMesh, mesh_edges
 
 # barycentric tolerance for point-in-triangle acceptance at shared edges
 _BARY_TOL = 1e-9
@@ -187,78 +188,75 @@ class _LocateGrid:
 # topology helpers
 # ---------------------------------------------------------------------------
 
-def boundary_loops(faces: np.ndarray, n_vertices: int) -> list[list[int]]:
-    """Ordered boundary loops of an oriented manifold patch (directed-edge walk)."""
-    directed = set()
-    for a, b, c in faces:
-        directed.add((int(a), int(b)))
-        directed.add((int(b), int(c)))
-        directed.add((int(c), int(a)))
-    nxt: dict[int, int] = {}
-    for a, b in directed:
-        if (b, a) not in directed:
-            if a in nxt:
-                raise TopologyError("non-manifold boundary (branching boundary vertex)")
-            nxt[a] = b
-    loops = []
-    seen: set[int] = set()
-    for start in sorted(nxt):
-        if start in seen:
-            continue
-        loop = [start]
-        seen.add(start)
-        cur = nxt[start]
-        while cur != start:
-            loop.append(cur)
-            if cur in seen:
-                raise TopologyError("boundary walk revisited a vertex (non-manifold)")
-            seen.add(cur)
-            cur = nxt[cur]
-        loops.append(loop)
-    return loops
-
-
-def check_disk_topology(faces: np.ndarray, n_vertices: int) -> list[int]:
+def check_disk_topology(faces: np.ndarray, n_vertices: int) -> np.ndarray:
     """Verify single-boundary disk topology; returns the ordered boundary loop.
 
-    Raises TopologyError naming the violation: disconnected, closed, multiple
-    boundary loops, or positive genus.
+    The loop follows the faces' winding and starts at the smallest boundary
+    vertex. Raises TopologyError naming the first violation, checked in this
+    order: no faces, an isolated vertex, disconnected (faces sharing only a
+    vertex count as connected), closed, a non-manifold boundary, multiple
+    boundary loops, or positive genus. A boundary is non-manifold when a vertex
+    starts two boundary edges, or when the walk along it revisits a vertex or
+    reaches a vertex that starts no boundary edge.
     """
     if len(faces) == 0:
         raise TopologyError("no faces")
-    # connectivity over edges
-    parent = np.arange(n_vertices)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for f in faces:
-        r0 = find(f[0])
-        r1 = find(f[1])
-        r2 = find(f[2])
-        parent[r1] = r0
-        parent[find(r2)] = find(r0)
-    used = np.unique(faces)
-    if len(used) != n_vertices:
+    faces = np.asarray(faces, dtype=np.int64)
+    if len(np.unique(faces)) != n_vertices:
         raise TopologyError("isolated vertex: not every vertex belongs to a face")
-    roots = {find(v) for v in used}
-    if len(roots) > 1:
-        raise TopologyError(f"submesh is not edge-connected ({len(roots)} components)")
+    edges, edge_of = mesh_edges(faces)
+    n_comp, _ = connected_components(_vertex_graph(edges[:, 0], edges[:, 1], n_vertices), directed=False)
+    if n_comp > 1:
+        raise TopologyError(f"submesh is not edge-connected ({n_comp} components)")
 
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    n_edges = len(np.unique(np.sort(e, axis=1), axis=0))
-    loops = boundary_loops(faces, n_vertices)
-    if len(loops) == 0:
+    # a directed face edge a->b is a boundary edge when no face has b->a; up and
+    # down mark the edges that some face runs from low to high id, or back
+    g = np.roll(faces, -1, axis=1)
+    up = np.bincount(edge_of[faces < g], minlength=len(edges)) > 0
+    down = np.bincount(edge_of[faces > g], minlength=len(edges)) > 0
+    b = np.flatnonzero(up != down)
+    src = np.where(up[b], edges[b, 0], edges[b, 1])
+    dst = np.where(up[b], edges[b, 1], edges[b, 0])
+    if len(src) == 0:
         raise TopologyError("closed surface (no boundary): not a disk")
-    if len(loops) > 1:
-        raise TopologyError(f"multiple boundary loops ({len(loops)}): not a disk")
-    euler = n_vertices - n_edges + len(faces)
+    if len(np.unique(src)) < len(src):
+        raise TopologyError("non-manifold boundary (branching boundary vertex)")
+    revisit = "boundary walk revisited a vertex (non-manifold)"
+    dead_end = "non-manifold boundary (boundary vertex with no outgoing boundary edge)"
+    nxt = np.full(n_vertices, -1, dtype=np.int64)
+    nxt[src] = dst
+    start = int(src.min())
+    loop = [start]
+    seen = np.zeros(n_vertices, dtype=bool)
+    seen[start] = True
+    cur = int(nxt[start])
+    while cur != start:
+        if seen[cur]:
+            raise TopologyError(revisit)
+        seen[cur] = True
+        loop.append(cur)
+        cur = int(nxt[cur])
+        if cur < 0:
+            raise TopologyError(dead_end)
+    if len(loop) < len(src):
+        # the other boundary edges form more loops if every boundary vertex ends
+        # one boundary edge and starts one; a walk over them would otherwise
+        # revisit a vertex that ends two, or stop at a vertex that starts none
+        if len(np.unique(dst)) < len(dst):
+            raise TopologyError(revisit)
+        if (nxt[dst] < 0).any():
+            raise TopologyError(dead_end)
+        _, label = connected_components(_vertex_graph(src, dst, n_vertices), directed=False)
+        raise TopologyError(f"multiple boundary loops ({len(np.unique(label[src]))}): not a disk")
+    euler = n_vertices - len(edges) + len(faces)
     if euler != 1:
         raise TopologyError(f"genus > 0 (Euler characteristic {euler}): not a disk")
-    return loops[0]
+    return np.asarray(loop, dtype=np.int64)
+
+
+def _vertex_graph(a: np.ndarray, b: np.ndarray, n: int) -> csr_matrix:
+    """Unweighted sparse graph on n vertices with the edges a[i]-b[i]."""
+    return csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +349,7 @@ def embed_disk(mesh_or_verts, faces=None, orig_vertex_ids=None, orig_face_ids=No
         faces = np.asarray(faces)
     faces = np.asarray(faces, dtype=np.int64)
     n = len(verts)
-    loop = np.asarray(check_disk_topology(faces, n), dtype=np.int64)
+    loop = check_disk_topology(faces, n)
 
     edge_vec = verts[np.roll(loop, -1)] - verts[loop]
     seglen = np.linalg.norm(edge_vec, axis=1)

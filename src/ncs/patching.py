@@ -14,6 +14,13 @@ arrays through the per-face pair table `PatchSet.face_pair_table`;
 one-point view. Distances come from each chart's inward edge lines
 (`PatchSet.line_pack`), exact because the chart polygons are convex;
 `boundary_signed_distance` is the polygon reference they are tested against.
+
+A PatchSet is built from its patches alone: it derives `face_cover` and
+`vertex_cover` (the patches holding each face and vertex, in ascending patch
+order) from each chart's `orig_face_ids` and each patch's `vertex_ids`.
+Extraction reads the mesh's connectivity as arrays: the `edge_graph` CSR for
+geodesic balls and one-rings, CSR incident faces, and a sparse face adjacency
+built from `geometry.mesh_edges` for the component search.
 """
 
 from __future__ import annotations
@@ -21,11 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import CoverageError, MeshError, OutOfChartError, TopologyError
-from .geometry import TriMesh, edge_graph, mesh_extent
-from .parameterization import DiskChart, check_disk_topology, embed_disk
+from .geometry import TriMesh, edge_graph, mesh_edges, mesh_extent
+from .parameterization import DiskChart, embed_disk
 
 _MAX_SHRINKS = 3
 
@@ -55,10 +64,15 @@ class PatchSet:
     seed: int
     n_vertices: int
     n_faces: int
-    face_cover: list[np.ndarray]
-    vertex_cover: list[np.ndarray]
-    _line_pack: tuple | None = field(default=None, repr=False, compare=False)
-    _face_pairs: tuple | None = field(default=None, repr=False, compare=False)
+    # per face / vertex: the ascending indices of the patches that hold it
+    face_cover: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    vertex_cover: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    _line_pack: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _face_pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.face_cover = _cover([p.chart.orig_face_ids for p in self.patches], self.n_faces)
+        self.vertex_cover = _cover([p.vertex_ids for p in self.patches], self.n_vertices)
 
     @property
     def n_patches(self) -> int:
@@ -129,52 +143,39 @@ class PatchSet:
 # construction
 # ---------------------------------------------------------------------------
 
-def _vertex_rings(mesh: TriMesh) -> list[np.ndarray]:
-    rings: list[list[int]] = [[] for _ in range(mesh.n_vertices)]
-    for a, b, c in mesh.faces:
-        rings[a] += [b, c]
-        rings[b] += [a, c]
-        rings[c] += [a, b]
-    return [np.unique(r) for r in rings]
+def _group_by(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr (n+1,), grouped values): row k holds the values whose key
+    is k, in input order."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n))])
+    return indptr, values[np.argsort(keys, kind="stable")]
 
 
-def _incident_faces(mesh: TriMesh) -> list[np.ndarray]:
-    inc: list[list[int]] = [[] for _ in range(mesh.n_vertices)]
-    for fid, (a, b, c) in enumerate(mesh.faces):
-        inc[a].append(fid)
-        inc[b].append(fid)
-        inc[c].append(fid)
-    return [np.asarray(f, dtype=np.int64) for f in inc]
+def _cover(members: list[np.ndarray], n: int) -> list[np.ndarray]:
+    """For each element id in [0, n), the ascending indices of the member lists
+    that hold it."""
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *members])
+    owner = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    indptr, grouped = _group_by(ids, owner, n)
+    # slicing: np.split costs three times as much for many short rows
+    return [grouped[a:b] for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
 
 
-def _face_adjacency(mesh: TriMesh) -> list[np.ndarray]:
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for fid, (a, b, c) in enumerate(mesh.faces):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            by_edge.setdefault(key, []).append(fid)
-    adj: list[list[int]] = [[] for _ in range(mesh.n_faces)]
-    for flist in by_edge.values():
-        for i in flist:
-            for j in flist:
-                if i != j:
-                    adj[i].append(j)
-    return [np.unique(a) for a in adj]
+def _face_adjacency(edge_of: np.ndarray) -> csr_matrix:
+    """Face-face adjacency over shared edges, from mesh_edges' edge_of (F,3)."""
+    nf = len(edge_of)
+    incidence = csr_matrix((np.ones(3 * nf), (np.repeat(np.arange(nf), 3), edge_of.ravel())))
+    adj = incidence @ incidence.T
+    adj.setdiag(0)
+    adj.eliminate_zeros()
+    return adj
 
 
-def _component_faces(seed_faces: np.ndarray, keep: np.ndarray, adj: list[np.ndarray]) -> np.ndarray:
+def _component_faces(seed_faces: np.ndarray, keep: np.ndarray, adj: csr_matrix) -> np.ndarray:
     """Faces edge-connected to the seeds within the keep mask."""
-    in_comp = np.zeros(len(keep), dtype=bool)
-    stack = [int(f) for f in seed_faces if keep[f]]
-    for f in stack:
-        in_comp[f] = True
-    while stack:
-        f = stack.pop()
-        for g in adj[f]:
-            if keep[g] and not in_comp[g]:
-                in_comp[g] = True
-                stack.append(int(g))
-    return np.flatnonzero(in_comp)
+    kept = np.flatnonzero(keep)
+    _, label = connected_components(adj[kept][:, kept], directed=False)
+    seeds = np.searchsorted(kept, seed_faces[keep[seed_faces]])
+    return kept[np.isin(label, label[seeds])]
 
 
 def extract_patches(mesh: TriMesh, radius_frac: float, forbid_prob: float, seed: int = 0) -> PatchSet:
@@ -201,47 +202,36 @@ def extract_patches(mesh: TriMesh, radius_frac: float, forbid_prob: float, seed:
 
     graph = edge_graph(mesh)
     radius = radius_frac * mesh_extent(mesh)
-    rings = _vertex_rings(mesh)
-    incident = _incident_faces(mesh)
-    adj = _face_adjacency(mesh)
+    inc_ptr, inc_faces = _group_by(mesh.faces.ravel(), np.repeat(np.arange(nf), 3), nv)
+    adj = _face_adjacency(mesh_edges(mesh.faces)[1])
     rng = np.random.default_rng(seed)
 
     covered = np.zeros(nv, dtype=bool)
     forbidden = np.zeros(nv, dtype=bool)
     face_covered = np.zeros(nf, dtype=bool)
-    face_cover: list[list[int]] = [[] for _ in range(nf)]
-    vertex_cover: list[list[int]] = [[] for _ in range(nv)]
     patches: list[Patch] = []
 
-    def grow(center: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Member faces (orig ids), member vertices (orig ids), local faces."""
+    def chart_of(fids: np.ndarray) -> DiskChart:
+        """Disk chart of the parent-mesh faces fids; TopologyError if not a disk."""
+        vids, local = np.unique(mesh.faces[fids], return_inverse=True)
+        return embed_disk(mesh.vertices[vids], local.reshape(-1, 3), orig_vertex_ids=vids, orig_face_ids=fids)
+
+    def grow(center: int) -> DiskChart:
+        """Chart of the center's patch, halving the radius while it is not a disk."""
         r = radius
+        fan = inc_faces[inc_ptr[center]:inc_ptr[center + 1]]
         for _ in range(_MAX_SHRINKS + 1):
             dist = _dijkstra(graph, directed=False, indices=center, limit=r)
             in_ball = np.isfinite(dist) & (dist <= r)
-            in_ball[rings[center]] = True
+            in_ball[graph.indices[graph.indptr[center]:graph.indptr[center + 1]]] = True
             in_ball[center] = True
             fmask = in_ball[mesh.faces].all(axis=1)
-            fids = _component_faces(incident[center], fmask, adj)
-            sub_faces = mesh.faces[fids]
-            vids = np.unique(sub_faces)
-            remap = np.full(nv, -1, dtype=np.int64)
-            remap[vids] = np.arange(len(vids))
-            local = remap[sub_faces]
             try:
-                check_disk_topology(local, len(vids))
-                return fids, vids, local
+                return chart_of(_component_faces(fan, fmask, adj))
             except TopologyError:
                 r *= 0.5
         # fallback: the center's face fan, a disk for any manifold vertex
-        fids = incident[center]
-        sub_faces = mesh.faces[fids]
-        vids = np.unique(sub_faces)
-        remap = np.full(nv, -1, dtype=np.int64)
-        remap[vids] = np.arange(len(vids))
-        local = remap[sub_faces]
-        check_disk_topology(local, len(vids))
-        return fids, vids, local
+        return chart_of(fan)
 
     while True:
         eligible = np.flatnonzero(~covered & ~forbidden)
@@ -254,19 +244,14 @@ def extract_patches(mesh: TriMesh, radius_frac: float, forbid_prob: float, seed:
             eligible = np.unique(mesh.faces[open_faces])
         center = int(eligible[rng.integers(len(eligible))])
 
-        fids, vids, local = grow(center)
-        chart = embed_disk(mesh.vertices[vids], local, orig_vertex_ids=vids, orig_face_ids=fids)
-        idx = len(patches)
+        chart = grow(center)
+        vids = chart.orig_vertex_ids
         covered[vids] = True
-        face_covered[fids] = True
-        for f in fids:
-            face_cover[f].append(idx)
-        for v in vids:
-            vertex_cover[v].append(idx)
+        face_covered[chart.orig_face_ids] = True
         draw = rng.random(len(vids)) < forbid_prob
         newly = vids[draw & ~forbidden[vids]]
         forbidden[newly] = True
-        patches.append(Patch(index=idx, center=center, vertex_ids=vids, chart=chart, forbade=newly))
+        patches.append(Patch(index=len(patches), center=center, vertex_ids=vids, chart=chart, forbade=newly))
 
     pset = PatchSet(
         patches=patches,
@@ -276,8 +261,6 @@ def extract_patches(mesh: TriMesh, radius_frac: float, forbid_prob: float, seed:
         seed=int(seed),
         n_vertices=nv,
         n_faces=nf,
-        face_cover=[np.asarray(c, dtype=np.int64) for c in face_cover],
-        vertex_cover=[np.asarray(c, dtype=np.int64) for c in vertex_cover],
     )
     if any(len(c) == 0 for c in pset.vertex_cover):
         raise CoverageError("internal: some vertex remained uncovered")

@@ -8,8 +8,6 @@ from ncs import model as mo, training as tr
 def manual_patchset(mesh, vertex_masks):
     """PatchSet built from explicit vertex masks (full control for unit tests)."""
     patches = []
-    face_cover = [[] for _ in range(mesh.n_faces)]
-    vertex_cover = [[] for _ in range(mesh.n_vertices)]
     for idx, mask in enumerate(vertex_masks):
         vids = np.flatnonzero(mask)
         fids = np.flatnonzero(mask[mesh.faces].all(axis=1))
@@ -19,15 +17,9 @@ def manual_patchset(mesh, vertex_masks):
         chart = par.embed_disk(mesh.vertices[vids], local, orig_vertex_ids=vids, orig_face_ids=fids)
         patches.append(patching.Patch(index=idx, center=int(vids[0]), vertex_ids=vids,
                                       chart=chart, forbade=np.array([], dtype=np.int64)))
-        for f in fids:
-            face_cover[f].append(idx)
-        for v in vids:
-            vertex_cover[v].append(idx)
     return patching.PatchSet(
         patches=patches, radius_frac=0.5, forbid_prob=0.0, radius=1.0, seed=0,
         n_vertices=mesh.n_vertices, n_faces=mesh.n_faces,
-        face_cover=[np.asarray(c, dtype=np.int64) for c in face_cover],
-        vertex_cover=[np.asarray(c, dtype=np.int64) for c in vertex_cover],
     )
 
 

@@ -201,6 +201,7 @@ def test_criterion_2_parameter_accounting():
 # criterion 3: frame suite
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_3_frames(desk_fit):
     state = desk_fit
     params = state["params"]
@@ -242,6 +243,7 @@ def test_criterion_3_frames(desk_fit):
 # criterion 4: blend-weight suite
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_blend_weights(desk_fit, two_strip):
     state = desk_fit
     mesh, chart, patchset = state["mesh"], state["chart"], state["patchset"]
@@ -333,6 +335,7 @@ def test_criterion_5_parameterization():
 # criterion 6: end-to-end desk fit
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_desk_fit(desk_fit):
     state = desk_fit
     full = _vertex_chamfer(state, state["params"])
@@ -346,6 +349,7 @@ def test_criterion_6_desk_fit(desk_fit):
 # criterion 7: ablation direction (scalar-normal vs vector displacement)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_ablation():
     mesh = normalize_unit_sphere(synth.folded_sheet(48))
     chart = embed_disk(mesh)

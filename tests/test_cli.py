@@ -109,6 +109,13 @@ class TestExitCodes:
         cfg, _ = write_config(tmp_path, sphere)
         assert main(["fit", str(cfg)]) == 3
 
+    def test_doubled_face_is_3(self, tmp_path):
+        # one face listed twice with opposite winding: a non-manifold boundary
+        mesh = tmp_path / "doubled.obj"
+        mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 2 4 3\nf 2 3 4\n")
+        cfg, _ = write_config(tmp_path, mesh)
+        assert main(["fit", str(cfg)]) == 3
+
     def test_corrupt_checkpoint_is_2(self, tmp_path):
         bad = tmp_path / "bad.ncs"
         bad.write_bytes(b"NCSCKPT\x00" + b"\x01\x00\x00\x00" + b"garbage")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,21 +24,53 @@ def annulus_mesh(n=12):
     return TriMesh(v, np.asarray(faces))
 
 
+def torus_minus_face(n=4):
+    """n x n torus grid with one face removed: one boundary loop, genus 1."""
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    u, w = 2 * np.pi * i.ravel() / n, 2 * np.pi * j.ravel() / n
+    v = np.stack([(2 + np.cos(w)) * np.cos(u), (2 + np.cos(w)) * np.sin(u), np.sin(w)], axis=1)
+    vid = lambda a, b: (a % n) * n + b % n
+    faces = []
+    for a in range(n):
+        for b in range(n):
+            faces.append((vid(a, b), vid(a + 1, b), vid(a + 1, b + 1)))
+            faces.append((vid(a, b), vid(a + 1, b + 1), vid(a, b + 1)))
+    return v, np.asarray(faces[1:])
+
+
+SQUARE = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+# each case: embed_disk's arguments and the full TopologyError message
+TOPOLOGY_CASES = {
+    "closed": (lambda: (synth.icosphere(1),), "closed surface (no boundary): not a disk"),
+    "annulus": (lambda: (annulus_mesh(),), "multiple boundary loops (2): not a disk"),
+    "disconnected": (lambda: (np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 0], [6, 5, 0], [5, 6, 0]]),
+                              np.array([[0, 1, 2], [3, 4, 5]])),
+                     "submesh is not edge-connected (2 components)"),
+    "no_faces": (lambda: (SQUARE, np.zeros((0, 3), dtype=np.int64)), "no faces"),
+    "isolated_vertex": (lambda: (SQUARE, np.array([[0, 1, 2]])),
+                        "isolated vertex: not every vertex belongs to a face"),
+    # two triangles sharing only vertex 0: connected, but 0 starts two boundary edges
+    "bowtie": (lambda: (np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]]),
+                        np.array([[0, 1, 2], [0, 3, 4]])),
+               "non-manifold boundary (branching boundary vertex)"),
+    "torus_minus_face": (torus_minus_face, "genus > 0 (Euler characteristic -1): not a disk"),
+    # face (1,2,3) listed twice with opposite winding: the walk 0 -> 1 finds no
+    # boundary edge leaving 1
+    "doubled_face": (lambda: (SQUARE, np.array([[0, 1, 2], [1, 3, 2], [1, 2, 3]])),
+                     "non-manifold boundary (boundary vertex with no outgoing boundary edge)"),
+    # edge 1-4 shared by three faces: the walk from 0 comes back to 4
+    "three_faces_on_edge": (lambda: (np.random.default_rng(0).normal(size=(5, 3)),
+                                     np.array([[1, 4, 0], [2, 4, 3], [3, 4, 1], [2, 1, 4]])),
+                            "boundary walk revisited a vertex (non-manifold)"),
+}
+
+
 class TestTopology:
-    def test_closed_surface_rejected(self):
-        sphere = synth.icosphere(1)
-        with pytest.raises(TopologyError, match="closed"):
-            embed_disk(sphere)
-
-    def test_multiple_boundaries_rejected(self):
-        with pytest.raises(TopologyError, match="multiple boundary"):
-            embed_disk(annulus_mesh())
-
-    def test_disconnected_rejected(self):
-        v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 0], [6, 5, 0], [5, 6, 0]])
-        f = np.array([[0, 1, 2], [3, 4, 5]])
-        with pytest.raises(TopologyError, match="connected"):
-            embed_disk(v, f)
+    @pytest.mark.parametrize("case", list(TOPOLOGY_CASES))
+    def test_rejected_with_message(self, case):
+        make, message = TOPOLOGY_CASES[case]
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            embed_disk(*make())
 
     def test_disk_boundary_loop(self):
         mesh = synth.plane(4)

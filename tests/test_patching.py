@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,39 @@ from ncs.patching import (blend_weights, boundary_signed_distance, extract_patch
 
 # frozen after the first run; extraction must reproduce it exactly (determinism)
 SPHERE_GOLDEN_PATCH_COUNT = 345
+# frozen: sha256 of patchset_digest for these extractions, recorded with the
+# per-element Python cover and topology loops that the array code replaced; any
+# drift in the bytes, including the order within face_cover, fails
+PATCHSET_GOLDEN_DIGESTS = {
+    "saddle16": (lambda: synth.saddle(16), 0.3, 0.5, 7,
+                 "d76e87f87450a647f52fe33aa1d5b866de1ca57cbd9a506d4cb3de08361274f8"),
+    "bumpy20": (lambda: synth.bumpy_plane(20), 0.3, 1.0, 2,
+                "cfecb10ccccb385f28a6f9a2b5ec90320ab940227cd73a98ce5db9d9550b5314"),
+}
+
+
+def patchset_digest(ps):
+    """sha256 over each patch's center, vertex ids, chart faces, orig face ids, uv,
+    boundary and forbids, then both covers; every array length-prefixed."""
+    h = hashlib.sha256()
+
+    def put(a, dtype):
+        a = np.ascontiguousarray(a, dtype=dtype)
+        h.update(np.int64(a.size).tobytes())
+        h.update(a.tobytes())
+
+    for p in ps.patches:
+        put([p.center], np.int64)
+        put(p.vertex_ids, np.int64)
+        put(p.chart.faces, np.int64)
+        put(p.chart.orig_face_ids, np.int64)
+        put(p.chart.uv, np.float64)
+        put(p.chart.boundary, np.int64)
+        put(p.forbade, np.int64)
+    for cover in (ps.face_cover, ps.vertex_cover):
+        for c in cover:
+            put(c, np.int64)
+    return h.hexdigest()
 
 
 def regular_ngon_chart(n):
@@ -64,6 +99,12 @@ class TestExtraction:
         # every patch chart is flip-free
         for p in ps.patches:
             assert (p.chart.signed_areas() > 0).all()
+
+    @pytest.mark.parametrize("case", list(PATCHSET_GOLDEN_DIGESTS))
+    def test_golden_digest(self, case):
+        make, radius, forbid, seed, digest = PATCHSET_GOLDEN_DIGESTS[case]
+        ps = extract_patches(normalize_unit_sphere(make()), radius, forbid, seed=seed)
+        assert patchset_digest(ps) == digest
 
     def test_isolated_vertex_error(self):
         v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [9, 9, 9]])
