@@ -4,44 +4,56 @@ Layout: 8-byte magic, u32 version, u64 payload length, payload, u32 CRC32 of the
 payload. The payload is a sequence of named records (one JSON metadata record plus
 raw little-endian arrays), enough to rebuild the mesh, the charts, the patch set,
 all model tensors, and the optimizer state bit-exactly.
+
+Each part of the schema is written down once. Record dtype codes are indices into
+`_DTYPES`; the per-patch records and their dtypes are `_PATCH_RECORDS`; tensor and
+optimizer record names come from `ModelParams.named_tensors`; the arch metadata is
+the fields of `ArchConfig`. `restore_state` builds a fresh model for the stored
+arch and loads each stored tensor into it by name. Anything unreadable or
+inconsistent (a malformed record or metadata, a tensor that does not fit the
+stored arch) raises `CheckpointError`. A save writes a sibling temporary file and
+renames it over the target, so an interrupted save leaves the old file intact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import CheckpointError
 from .geometry import TriMesh
-from .model import ArchConfig, ModelParams
+from .model import ArchConfig, ModelParams, build_model
 from .parameterization import DiskChart
 from .patching import Patch, PatchSet
 
 MAGIC = b"NCSCKPT\x00"
 VERSION = 1
 
-_DTYPES = {"<f4": 0, "<f8": 1, "<i4": 2, "<i8": 3}
-_DTYPES_REV = {v: k for k, v in _DTYPES.items()}
+_DTYPES = ("<f4", "<f8", "<i4", "<i8")  # a record's dtype code is its index here
+# the records stored per patch, in file order, with their dtypes
+_PATCH_RECORDS = {"vertex_ids": "<i8", "faces": "<i4", "orig_face_ids": "<i8",
+                  "uv": "<f8", "boundary": "<i8", "forbade": "<i8"}
 
 
 def _write_record(buf: io.BytesIO, name: str, arr: np.ndarray) -> None:
-    code = _DTYPES.get(arr.dtype.newbyteorder("<").str)
-    if code is None:
+    dtype = arr.dtype.newbyteorder("<")
+    if dtype.str not in _DTYPES:
         raise CheckpointError(f"unsupported dtype {arr.dtype} for record {name}")
     nb = name.encode("utf-8")
-    raw = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
+    raw = np.ascontiguousarray(arr).astype(dtype, copy=False).tobytes()
     buf.write(struct.pack("<H", len(nb)))
     buf.write(nb)
-    buf.write(struct.pack("<BB", code, arr.ndim))
-    for d in arr.shape:
-        buf.write(struct.pack("<I", d))
-    buf.write(struct.pack("<Q", len(raw)))
+    buf.write(struct.pack(f"<BB{arr.ndim}IQ", _DTYPES.index(dtype.str), arr.ndim, *arr.shape,
+                          len(raw)))
     buf.write(raw)
 
 
@@ -52,16 +64,17 @@ def _read_record(view: memoryview, pos: int) -> tuple[str, np.ndarray, int]:
     pos += nlen
     code, ndim = struct.unpack_from("<BB", view, pos)
     pos += 2
-    shape = []
-    for _ in range(ndim):
-        (d,) = struct.unpack_from("<I", view, pos)
-        shape.append(d)
-        pos += 4
-    (nbytes,) = struct.unpack_from("<Q", view, pos)
-    pos += 8
+    *shape, nbytes = struct.unpack_from(f"<{ndim}IQ", view, pos)
+    pos += 4 * ndim + 8
+    if code >= len(_DTYPES):
+        raise CheckpointError(f"record {name}: unknown dtype code {code}")
+    dtype = np.dtype(_DTYPES[code])
+    if nbytes != math.prod(shape) * dtype.itemsize:
+        raise CheckpointError(f"record {name}: {nbytes} bytes do not hold a {dtype.str} array "
+                              f"of shape {tuple(shape)}")
     if pos + nbytes > len(view):
         raise CheckpointError("truncated checkpoint record")
-    arr = np.frombuffer(view[pos:pos + nbytes], dtype=_DTYPES_REV[code]).reshape(shape)
+    arr = np.frombuffer(view[pos:pos + nbytes], dtype=dtype).reshape(shape)
     return name, arr.copy(), pos + nbytes
 
 
@@ -74,10 +87,10 @@ class Checkpoint:
     global_uv: np.ndarray
     global_boundary: np.ndarray
     patch_meta: dict  # radius_frac, forbid_prob, radius, seed
-    patches: list[dict]  # center, vertex_ids, faces, orig_face_ids, uv, boundary, forbade
-    arch: dict
-    tensors: dict[str, np.ndarray]
-    opt_state: dict[str, np.ndarray]
+    patches: list[dict]  # "center" plus one array per _PATCH_RECORDS key
+    arch: dict  # the ArchConfig fields
+    tensors: dict[str, np.ndarray]  # by ModelParams.named_tensors name
+    opt_state: dict[str, np.ndarray]  # RMSProp state, by the same names
     pca_frames: np.ndarray | None = None
 
 
@@ -102,12 +115,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     _write_record(buf, "global.uv", ckpt.global_uv.astype("<f8"))
     _write_record(buf, "global.boundary", ckpt.global_boundary.astype("<i8"))
     for i, p in enumerate(ckpt.patches):
-        _write_record(buf, f"patch{i}.vertex_ids", np.asarray(p["vertex_ids"], "<i8"))
-        _write_record(buf, f"patch{i}.faces", np.asarray(p["faces"], "<i4"))
-        _write_record(buf, f"patch{i}.orig_face_ids", np.asarray(p["orig_face_ids"], "<i8"))
-        _write_record(buf, f"patch{i}.uv", np.asarray(p["uv"], "<f8"))
-        _write_record(buf, f"patch{i}.boundary", np.asarray(p["boundary"], "<i8"))
-        _write_record(buf, f"patch{i}.forbade", np.asarray(p["forbade"], "<i8"))
+        for key, dtype in _PATCH_RECORDS.items():
+            _write_record(buf, f"patch{i}.{key}", np.asarray(p[key], dtype))
     for name in sorted(ckpt.tensors):
         _write_record(buf, f"tensor.{name}", ckpt.tensors[name].astype("<f4"))
     for name in sorted(ckpt.opt_state):
@@ -115,12 +124,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     if ckpt.pca_frames is not None:
         _write_record(buf, "pca_frames", ckpt.pca_frames.astype("<f4"))
     payload = buf.getvalue()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(payload)))
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def is_checkpoint(path) -> bool:
@@ -150,98 +164,55 @@ def load_checkpoint(path) -> Checkpoint:
     if zlib.crc32(payload) != crc:
         raise CheckpointError(f"{path}: checksum failure (corrupted checkpoint)")
 
-    view = memoryview(payload)
-    (mlen,) = struct.unpack_from("<I", view, 0)
-    meta = json.loads(bytes(view[4:4 + mlen]).decode("utf-8"))
-    p = 4 + mlen
-    records: dict[str, np.ndarray] = {}
-    while p < len(view):
-        name, arr, p = _read_record(view, p)
-        records[name] = arr
+    try:
+        view = memoryview(payload)
+        (mlen,) = struct.unpack_from("<I", view, 0)
+        meta = json.loads(bytes(view[4:4 + mlen]).decode("utf-8"))
+        p = 4 + mlen
+        records: dict[str, np.ndarray] = {}
+        while p < len(view):
+            name, arr, p = _read_record(view, p)
+            records[name] = arr
+        if not (isinstance(meta["arch"], dict) and isinstance(meta["patch_meta"], dict)):
+            raise TypeError("arch and patch_meta must be JSON objects")
 
-    patches = []
-    for i in range(meta["n_patches"]):
-        patches.append({
-            "center": meta["patch_centers"][i],
-            "vertex_ids": records[f"patch{i}.vertex_ids"],
-            "faces": records[f"patch{i}.faces"],
-            "orig_face_ids": records[f"patch{i}.orig_face_ids"],
-            "uv": records[f"patch{i}.uv"],
-            "boundary": records[f"patch{i}.boundary"],
-            "forbade": records[f"patch{i}.forbade"],
-        })
-    return Checkpoint(
-        config_text=meta["config_text"],
-        iteration=meta["iteration"],
-        mesh_vertices=records["mesh.vertices"],
-        mesh_faces=records["mesh.faces"],
-        global_uv=records["global.uv"],
-        global_boundary=records["global.boundary"],
-        patch_meta=meta["patch_meta"],
-        patches=patches,
-        arch=meta["arch"],
-        tensors={n[len("tensor."):]: a for n, a in records.items() if n.startswith("tensor.")},
-        opt_state={n[len("opt."):]: a for n, a in records.items() if n.startswith("opt.")},
-        pca_frames=records.get("pca_frames"),
-    )
+        patches = [{"center": meta["patch_centers"][i],
+                    **{key: records[f"patch{i}.{key}"] for key in _PATCH_RECORDS}}
+                   for i in range(meta["n_patches"])]
+        return Checkpoint(
+            config_text=meta["config_text"],
+            iteration=meta["iteration"],
+            mesh_vertices=records["mesh.vertices"],
+            mesh_faces=records["mesh.faces"],
+            global_uv=records["global.uv"],
+            global_boundary=records["global.boundary"],
+            patch_meta=meta["patch_meta"],
+            patches=patches,
+            arch=meta["arch"],
+            tensors={n[len("tensor."):]: a for n, a in records.items() if n.startswith("tensor.")},
+            opt_state={n[len("opt."):]: a for n, a in records.items() if n.startswith("opt.")},
+            pca_frames=records.get("pca_frames"),
+        )
+    except (struct.error, LookupError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from e
 
 
 # ---------------------------------------------------------------------------
 # model <-> checkpoint conversion
 # ---------------------------------------------------------------------------
 
-def _tensor_table(params: ModelParams) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {"codes": params.codes.data}
-    for i, (w, b) in enumerate(params.coarse):
-        out[f"coarse{i}.w"] = w.data
-        out[f"coarse{i}.b"] = b.data
-    for i, (k1, b1, k2, b2) in enumerate(params.cnn):
-        out[f"cnn{i}.k1"] = k1.data
-        out[f"cnn{i}.b1"] = b1.data
-        out[f"cnn{i}.k2"] = k2.data
-        out[f"cnn{i}.b2"] = b2.data
-    for i, (w, b) in enumerate(params.fine):
-        out[f"fine{i}.w"] = w.data
-        out[f"fine{i}.b"] = b.data
-    return out
-
-
-def _opt_table(params: ModelParams, opts) -> dict[str, np.ndarray]:
-    if opts is None:
-        return {}
-    opt_c, opt_f = opts
-    names: dict[int, str] = {}
-    for name, arr in _tensor_table(params).items():
-        names[id(arr)] = name
-    out = {}
-    for opt in (opt_c, opt_f):
-        for t, v in zip(opt.tensors, opt.state):
-            out[names[id(t.data)]] = v
-    return out
-
-
 def checkpoint_from_state(config_text: str, iteration: int, mesh: TriMesh,
                           global_chart: DiskChart, patchset: PatchSet,
                           params: ModelParams, opts=None) -> Checkpoint:
-    patches = []
-    for p in patchset.patches:
-        patches.append({
-            "center": p.center,
-            "vertex_ids": p.vertex_ids,
-            "faces": p.chart.faces,
-            "orig_face_ids": p.chart.orig_face_ids,
-            "uv": p.chart.uv,
-            "boundary": p.chart.boundary,
-            "forbade": p.forbade,
-        })
-    arch = {
-        "coarse_widths": list(params.config.coarse_widths),
-        "code_shape": list(params.config.code_shape),
-        "cnn_channels": params.config.cnn_channels,
-        "cnn_blocks": params.config.cnn_blocks,
-        "fine_widths": list(params.config.fine_widths),
-        "mode": params.config.mode,
-    }
+    patches = [{"center": p.center, "vertex_ids": p.vertex_ids, "faces": p.chart.faces,
+                "orig_face_ids": p.chart.orig_face_ids, "uv": p.chart.uv,
+                "boundary": p.chart.boundary, "forbade": p.forbade}
+               for p in patchset.patches]
+    named = params.named_tensors()
+    opt_state = {}
+    if opts is not None:
+        opt_c, opt_f = opts
+        opt_state = dict(zip(named, opt_c.state + opt_f.state, strict=True))
     return Checkpoint(
         config_text=config_text,
         iteration=iteration,
@@ -256,15 +227,19 @@ def checkpoint_from_state(config_text: str, iteration: int, mesh: TriMesh,
             "seed": patchset.seed,
         },
         patches=patches,
-        arch=arch,
-        tensors=_tensor_table(params),
-        opt_state=_opt_table(params, opts),
+        arch=dataclasses.asdict(params.config),
+        tensors={name: t.data for name, t in named.items()},
+        opt_state=opt_state,
         pca_frames=params.pca_frames,
     )
 
 
 def restore_state(ckpt: Checkpoint):
-    """Rebuild (mesh, global_chart, patchset, params) from a loaded checkpoint."""
+    """Rebuild (mesh, global_chart, patchset, params) from a loaded checkpoint.
+
+    The model is built fresh for the stored arch and takes each stored tensor by
+    name; a tensor set, tensor shape or pca frame set that does not fit that arch
+    raises CheckpointError."""
     mesh = TriMesh(ckpt.mesh_vertices, ckpt.mesh_faces, uv=ckpt.global_uv.copy())
     global_chart = DiskChart(mesh.vertices, mesh.faces, ckpt.global_uv, ckpt.global_boundary)
 
@@ -280,20 +255,28 @@ def restore_state(ckpt: Checkpoint):
         radius=pm["radius"], seed=pm["seed"], n_vertices=mesh.n_vertices, n_faces=mesh.n_faces,
     )
 
-    a = ckpt.arch
-    config = ArchConfig(
-        coarse_widths=tuple(a["coarse_widths"]), code_shape=tuple(a["code_shape"]),
-        cnn_channels=a["cnn_channels"], cnn_blocks=a["cnn_blocks"],
-        fine_widths=tuple(a["fine_widths"]), mode=a["mode"],
-    )
-    t = ckpt.tensors
-    coarse = [(ad.param(t[f"coarse{i}.w"]), ad.param(t[f"coarse{i}.b"]))
-              for i in range(len(config.coarse_widths) + 1)]
-    cnn = [(ad.param(t[f"cnn{i}.k1"]), ad.param(t[f"cnn{i}.b1"]),
-            ad.param(t[f"cnn{i}.k2"]), ad.param(t[f"cnn{i}.b2"]))
-           for i in range(config.cnn_blocks)]
-    fine = [(ad.param(t[f"fine{i}.w"]), ad.param(t[f"fine{i}.b"]))
-            for i in range(len(config.fine_widths) + 1)]
-    params = ModelParams(config, coarse, ad.param(t["codes"]), cnn, fine,
-                         pca_frames=ckpt.pca_frames)
+    arch = {k: tuple(v) if isinstance(v, list) else v for k, v in ckpt.arch.items()}
+    try:
+        config = ArchConfig(**arch)
+        params = build_model(config, patchset, mesh=mesh)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"arch metadata {ckpt.arch} does not build a model: {e}") from e
+    if dataclasses.asdict(config) != arch:
+        raise CheckpointError(f"arch metadata {ckpt.arch} lacks some ArchConfig fields")
+    named = params.named_tensors()
+    if sorted(ckpt.tensors) != sorted(named):
+        raise CheckpointError(f"stored tensors {sorted(ckpt.tensors)} do not match the stored "
+                              f"arch's {sorted(named)}")
+    for name, t in named.items():
+        stored = ckpt.tensors[name]
+        if stored.shape != t.shape:
+            raise CheckpointError(f"tensor {name} has shape {stored.shape}, the stored arch "
+                                  f"needs {t.shape}")
+        t.data = stored
+    shape = None if ckpt.pca_frames is None else ckpt.pca_frames.shape
+    want = (patchset.n_patches, 3, 3) if config.mode == "pca" else None
+    if shape != want:
+        raise CheckpointError(f"pca_frames of shape {shape} do not fit a {config.mode}-mode "
+                              f"model (need {want})")
+    params.pca_frames = ckpt.pca_frames
     return mesh, global_chart, patchset, params

@@ -1,6 +1,7 @@
 """Command-line pipeline: fit, reconstruct, eval, edit, transfer, patches.
 
-Exit codes: 0 ok, 2 config/input error, 3 topology error, 4 numeric error.
+Exit codes: 0 ok, 2 config/input error (including a missing or unwritable file and
+a malformed checkpoint), 3 topology error, 4 numeric error.
 NCS_WORKERS (default 1) fans evaluation-time point queries out over threads;
 chunk boundaries are fixed, so results do not depend on the worker count.
 """
@@ -378,7 +379,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return int(args.func(args) or 0)
-    except (ConfigError, MeshError, CheckpointError, AlignmentError) as e:
+    except (ConfigError, MeshError, CheckpointError, AlignmentError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TopologyError as e:

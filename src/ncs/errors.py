@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration/input problems -> 2,
+The CLI maps these onto exit codes: configuration/input problems (and OSError) -> 2,
 topology problems -> 3, numeric problems -> 4.
 """
 
@@ -42,7 +42,8 @@ class TapeError(Exception):
 
 
 class CheckpointError(Exception):
-    """Checkpoint file is invalid: bad magic, version mismatch, or checksum failure."""
+    """Checkpoint file is unreadable: bad magic, version mismatch, checksum failure,
+    a malformed record or metadata, or tensors that do not fit the stored arch."""
 
 
 class AlignmentError(Exception):

@@ -58,10 +58,6 @@ class TriMesh:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def face_points(self) -> np.ndarray:
-        """Per-face corner positions, shape (F, 3, 3)."""
-        return self.vertices[self.faces]
-
 
 @dataclass
 class SurfaceSample:

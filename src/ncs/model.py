@@ -107,8 +107,21 @@ class ModelParams:
             out.extend(pair)
         return out
 
+    def named_tensors(self) -> dict[str, ad.Tensor]:
+        """Every learnable tensor under its checkpoint record name: coarse, codes,
+        CNN, fine, the order of the two optimizer groups."""
+        out = {}
+        for i, (w, b) in enumerate(self.coarse):
+            out.update({f"coarse{i}.w": w, f"coarse{i}.b": b})
+        out["codes"] = self.codes
+        for i, block in enumerate(self.cnn):
+            out.update(zip((f"cnn{i}.k1", f"cnn{i}.b1", f"cnn{i}.k2", f"cnn{i}.b2"), block))
+        for i, (w, b) in enumerate(self.fine):
+            out.update({f"fine{i}.w": w, f"fine{i}.b": b})
+        return out
+
     def all_tensors(self) -> list[ad.Tensor]:
-        return self.coarse_tensors() + self.fine_tensors()
+        return list(self.named_tensors().values())
 
     def param_counts(self) -> dict[str, int]:
         counts = {

@@ -1,8 +1,12 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from ncs import geometry, parameterization as par, patching, synth
-from ncs import model as mo, training as tr
+from ncs import checkpoint as ck, model as mo, training as tr
 
 
 def manual_patchset(mesh, vertex_masks):
@@ -21,6 +25,32 @@ def manual_patchset(mesh, vertex_masks):
         patches=patches, radius_frac=0.5, forbid_prob=0.0, radius=1.0, seed=0,
         n_vertices=mesh.n_vertices, n_faces=mesh.n_faces,
     )
+
+
+def split_checkpoint(blob: bytes):
+    """(metadata dict, list of raw record bytes) of a checkpoint file's bytes."""
+    payload = blob[len(ck.MAGIC) + 12:-4]  # after magic, version and length; before the CRC
+    (mlen,) = struct.unpack_from("<I", payload, 0)
+    meta = json.loads(payload[4:4 + mlen])
+    records, pos = [], 4 + mlen
+    while pos < len(payload):
+        (nlen,) = struct.unpack_from("<H", payload, pos)
+        ndim = payload[pos + 2 + nlen + 1]
+        dims = pos + 2 + nlen + 2
+        (nbytes,) = struct.unpack_from("<Q", payload, dims + 4 * ndim)
+        end = dims + 4 * ndim + 8 + nbytes
+        records.append(payload[pos:end])
+        pos = end
+    return meta, records
+
+
+def pack_checkpoint(meta, records) -> bytes:
+    """Checkpoint file bytes with a valid header and CRC around the given metadata
+    (a dict, or raw bytes) and raw records, so edits get past the checksum."""
+    mb = meta if isinstance(meta, bytes) else json.dumps(meta, sort_keys=True).encode("utf-8")
+    payload = struct.pack("<I", len(mb)) + mb + b"".join(records)
+    return (ck.MAGIC + struct.pack("<IQ", ck.VERSION, len(payload)) + payload
+            + struct.pack("<I", zlib.crc32(payload)))
 
 
 @pytest.fixture(scope="session")

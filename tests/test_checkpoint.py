@@ -1,10 +1,36 @@
+import dataclasses
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import pack_checkpoint, split_checkpoint
+from ncs import autodiff as ad
 from ncs import checkpoint as ck
 from ncs import model as mo
 from ncs import training as tr
 from ncs.errors import CheckpointError
+
+# frozen: sha256 of the checkpoint that `_tiny_checkpoint` saves, recorded with the
+# hand-written tensor, optimizer, patch and arch schemas that the name tables
+# replaced; any drift in the version-1 format, record order or names fails
+FROZEN_DIGESTS = {
+    "vector": "36305c9dbc16fcba95025c0b5ec8f8761b6ceaac6c8c37ba6c3c1e606db030cf",
+    "pca": "555b9e1e16996b2456ed934f4ee3b51168137ec51ddcb14dfc31db1658a0d9bf",
+}
+
+
+def _tiny_checkpoint(bumpy16, small_arch, mode):
+    """Checkpoint of a 4-iteration fit with optimizer state, deterministic per mode."""
+    mesh, chart, patchset, ctx = bumpy16
+    params = mo.build_model(dataclasses.replace(small_arch, mode=mode), patchset, seed=2, mesh=mesh)
+    sched = tr.TrainSchedule(warmup_iters=2, total_iters=4, base_lr=1e-4)
+    res = tr.fit(mesh, chart, patchset, params, sched, batch_size=64, seed=3, log_every=0, ctx=ctx)
+    return ck.checkpoint_from_state("[mesh]\npath = x.obj\n", 4, mesh, chart, patchset, params,
+                                    (res.opt_coarse, res.opt_fine))
 
 
 @pytest.fixture()
@@ -62,6 +88,145 @@ class TestRoundTrip:
         assert len(loaded.opt_state) == len(params.all_tensors())
         name = "coarse0.w"
         np.testing.assert_array_equal(loaded.opt_state[name], res.opt_coarse.state[0])
+
+
+class TestFormat:
+    @pytest.mark.parametrize("mode", ["vector", "pca"])
+    def test_frozen_digest(self, bumpy16, small_arch, tmp_path, mode):
+        path = tmp_path / "tiny.ncs"
+        ck.save_checkpoint(path, _tiny_checkpoint(bumpy16, small_arch, mode))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FROZEN_DIGESTS[mode]
+
+    def test_names_follow_the_optimizer_groups(self, fitted_small):
+        # opt.* records pair names with the two RMSProp groups' state by position
+        groups = fitted_small.coarse_tensors() + fitted_small.fine_tensors()
+        named = fitted_small.named_tensors()
+        assert all(a is b for a, b in zip(named.values(), groups, strict=True))
+        assert list(named)[5:8] == ["coarse2.b", "codes", "cnn0.k1"]
+
+    def test_interrupted_save_keeps_old_file(self, saved, monkeypatch):
+        path, _ = saved
+        before = path.read_bytes()
+        ckpt = ck.load_checkpoint(path)
+        real_open = open
+
+        class HalfWrite:
+            """A file whose first large write stops halfway, as an interrupt would."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if len(data) > 64:
+                    self.fh.write(data[:len(data) // 2])
+                    raise KeyboardInterrupt
+                return self.fh.write(data)
+
+        monkeypatch.setattr(ck, "open", lambda p, mode="r": HalfWrite(real_open(p, mode)),
+                            raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            ck.save_checkpoint(path, ckpt)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(f.name for f in path.parent.iterdir()) == [path.name]
+
+
+@pytest.fixture(scope="module")
+def pristine_files(bumpy16, small_arch, tmp_path_factory):
+    """(path, file bytes) per mode, of an unfitted model with optimizer state; tests
+    write their edited bytes to the path."""
+    mesh, chart, patchset, _ = bumpy16
+    tmp = tmp_path_factory.mktemp("malformed")
+    out = {}
+    for mode in ("vector", "pca"):
+        params = mo.build_model(dataclasses.replace(small_arch, mode=mode), patchset, mesh=mesh)
+        opts = (ad.RMSProp(params.coarse_tensors()), ad.RMSProp(params.fine_tensors()))
+        path = tmp / f"{mode}.ncs"
+        ck.save_checkpoint(path, ck.checkpoint_from_state("", 0, mesh, chart, patchset, params, opts))
+        out[mode] = (path, path.read_bytes())
+    return out
+
+
+class TestMalformed:
+    """Edits that keep the CRC valid: every one must raise CheckpointError."""
+
+    META_KEYS = ["config_text", "iteration", "n_patches", "patch_meta", "patch_centers", "arch"]
+    EDITS = ["drop_key", "bad_json", "not_object", "extra_patch", "arch_key", "arch_width",
+             "cnn_blocks", "code_shape", "mode", "dtype_code", "dim", "cut", "drop_record"]
+
+    @staticmethod
+    def _edit(edit, meta, records, draw):
+        if edit == "drop_key":
+            del meta[draw(st.sampled_from(TestMalformed.META_KEYS))]
+        elif edit == "bad_json":
+            meta = draw(st.binary(max_size=40))
+        elif edit == "not_object":
+            meta[draw(st.sampled_from(["arch", "patch_meta"]))] = draw(
+                st.sampled_from([None, 3, "vector", [], [["mode", "pca"]]]))
+        elif edit == "extra_patch":
+            meta["n_patches"] += 1
+            meta["patch_centers"].append(0)
+        elif edit == "arch_key":
+            del meta["arch"][draw(st.sampled_from(sorted(meta["arch"])))]
+        elif edit == "arch_width":
+            key = draw(st.sampled_from(["coarse_widths", "fine_widths"]))
+            widths = meta["arch"][key]
+            widths[0] = draw(st.integers(1, 24).filter(lambda w: w != widths[0]))
+        elif edit == "cnn_blocks":
+            meta["arch"]["cnn_blocks"] += draw(st.sampled_from([-1, 1, 2]))
+        elif edit == "code_shape":
+            meta["arch"]["code_shape"][draw(st.sampled_from([1, 2]))] += 1
+        elif edit == "mode":
+            meta["arch"]["mode"] = "pca" if meta["arch"]["mode"] != "pca" else "vector"
+        elif edit in ("dtype_code", "dim"):
+            k = draw(st.integers(0, len(records) - 1))
+            rec = bytearray(records[k])
+            (nlen,) = struct.unpack_from("<H", rec, 0)
+            if edit == "dtype_code" or rec[2 + nlen + 1] == 0:
+                rec[2 + nlen] = draw(st.integers(len(ck._DTYPES), 255))
+            else:  # a shape that no longer matches the record's byte count
+                struct.pack_into("<I", rec, 2 + nlen + 2, draw(st.integers(0, 2 ** 32 - 1).filter(
+                    lambda d: d != struct.unpack_from("<I", rec, 2 + nlen + 2)[0])))
+            records[k] = bytes(rec)
+        elif edit == "cut":
+            blob = b"".join(records)
+            ends = set(np.cumsum([len(r) for r in records]).tolist())
+            at = draw(st.integers(1, len(blob) - 1).filter(lambda i: i not in ends))
+            records = [blob[:at]]
+        elif edit == "drop_record":
+            keep = [r for r in records if not r[2:].startswith(b"opt.")]
+            del records[records.index(draw(st.sampled_from(keep)))]
+        return meta, records
+
+    @settings(max_examples=80, deadline=None)
+    @given(mode=st.sampled_from(["vector", "pca"]), edit=st.sampled_from(EDITS), data=st.data())
+    def test_edit_raises_checkpoint_error(self, pristine_files, mode, edit, data):
+        path, blob = pristine_files[mode]
+        meta, records = split_checkpoint(blob)
+        meta, records = self._edit(edit, meta, records, data.draw)
+        path.write_bytes(pack_checkpoint(meta, records))
+        with pytest.raises(CheckpointError):
+            ck.restore_state(ck.load_checkpoint(path))
+
+    def test_split_and_pack_round_trip(self, pristine_files):
+        for path, blob in pristine_files.values():
+            path.write_bytes(pack_checkpoint(*split_checkpoint(blob)))
+            assert path.read_bytes() == blob
+            ck.restore_state(ck.load_checkpoint(path))
+
+    def test_fine_widths_mismatch_names_the_tensor(self, pristine_files):
+        path, blob = pristine_files["vector"]
+        meta, records = split_checkpoint(blob)
+        meta["arch"]["fine_widths"][0] += 3
+        path.write_bytes(pack_checkpoint(meta, records))
+        with pytest.raises(CheckpointError, match="tensor fine0.w has shape"):
+            ck.restore_state(ck.load_checkpoint(path))
 
 
 class TestCorruption:

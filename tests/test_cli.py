@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import pack_checkpoint, split_checkpoint
 from ncs import synth
 from ncs.cli import main
 from ncs.config import parse_config_text
@@ -120,6 +121,34 @@ class TestExitCodes:
         bad = tmp_path / "bad.ncs"
         bad.write_bytes(b"NCSCKPT\x00" + b"\x01\x00\x00\x00" + b"garbage")
         assert main(["reconstruct", str(bad), "-o", str(tmp_path / "o.obj")]) == 2
+
+    @pytest.mark.parametrize("edit", ["drop_arch", "fine_widths"])
+    def test_malformed_checkpoint_is_2(self, fitted_run, tmp_path, edit, capsys):
+        # CRC rebuilt, so the loader and restore_state must catch these themselves
+        _, out = fitted_run
+        meta, records = split_checkpoint((out / "model.ncs").read_bytes())
+        if edit == "drop_arch":
+            del meta["arch"]
+        else:
+            meta["arch"]["fine_widths"][0] += 1
+        bad = tmp_path / "bad.ncs"
+        bad.write_bytes(pack_checkpoint(meta, records))
+        assert main(["reconstruct", str(bad), "-o", str(tmp_path / "o.obj")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint: ") and "Traceback" not in err
+        assert not (tmp_path / "o.obj").exists()
+
+    @pytest.mark.parametrize("argv", [
+        lambda model, tmp: ["reconstruct", str(tmp / "missing.ncs")],
+        lambda model, tmp: ["transfer", str(tmp / "missing.ncs"), model],
+        lambda model, tmp: ["eval", model, str(tmp / "missing.obj")],
+        lambda model, tmp: ["fit", str(write_config(tmp, tmp / "missing.obj")[0])],
+        lambda model, tmp: ["reconstruct", model, "-o", str(tmp / "no_dir" / "x.obj")],
+    ], ids=["reconstruct", "transfer", "eval_mesh", "fit_mesh", "output_dir"])
+    def test_missing_file_is_2(self, fitted_run, tmp_path, argv, capsys):
+        _, out = fitted_run
+        assert main(argv(str(out / "model.ncs"), tmp_path)) == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_eval_nonpositive_samples_is_2(self, fitted_run, mesh_file, samples, capsys):
