@@ -7,12 +7,16 @@ lookups, segment reductions, and a handful of pointwise/reduction primitives.
 Arithmetic is float32 unless the inputs are float64; the finite-difference
 oracle promotes everything to float64. One `Tape` records one forward pass and
 `backprop` consumes it once, in reverse order.
+
+`conv3x3` is an implicit-GEMM (im2col) convolution. All images of a batch sit
+zero-padded and end to end in one channel-major flat buffer, where each of the 9
+taps is a fixed column offset. Fixed-size chunks of shifted columns go through
+one BLAS matmul each, in both passes, so no full im2col matrix is ever built.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, TapeError
 
@@ -360,13 +364,65 @@ def upsample2x(x: Tensor) -> Tensor:
     def bw(g):
         s = g.shape
         g4 = g.reshape(s[:-2] + (s[-2] // 2, 2, s[-1] // 2, 2))
-        return (g4.sum(axis=(-3, -1)),)
+        # the four phases added in a fixed order; several times faster than a two-axis sum
+        return ((g4[..., 0, :, 0] + g4[..., 0, :, 1]) + (g4[..., 1, :, 0] + g4[..., 1, :, 1]),)
 
     return _emit(out, (x,), bw)
 
 
+_CHUNK = 4096  # flat columns per GEMM: keeps the (9*Cin, chunk) column buffer cache-sized
+
+
+def _pad_flat(a: np.ndarray, m: int) -> np.ndarray:
+    """(P,C,H,W) -> channel-major (C, P*(H+2)*(W+2) + 2m): each image zero-padded by one
+    pixel, the images end to end along the flat axis, and m zero columns at either end."""
+    p, c, h, w = a.shape
+    n = p * (h + 2) * (w + 2)
+    flat = np.zeros((c, n + 2 * m), dtype=a.dtype)
+    flat[:, m:m + n].reshape(c, p, h + 2, w + 2)[:, :, 1:-1, 1:-1] = a.transpose(1, 0, 2, 3)
+    return flat
+
+
+def _crop(flat: np.ndarray, shape: tuple, bias: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of `_pad_flat` without the margins: (C, P*(H+2)*(W+2)) -> (P,C,H,W) (+ bias)."""
+    p, c, h, w = shape
+    inner = flat.reshape(c, p, h + 2, w + 2)[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+    if bias is None:
+        return np.ascontiguousarray(inner)
+    return np.add(inner, bias[:, None, None], out=np.empty(shape, dtype=flat.dtype))
+
+
+def _columns(xf: np.ndarray, w: int, s: int, e: int, col: np.ndarray) -> np.ndarray:
+    """im2col of flat positions [s, e): row block t = 3i+j of `col` is `xf` shifted by tap (i, j)."""
+    cin = xf.shape[0]
+    for t in range(9):
+        i, j = divmod(t, 3)
+        o = (w + 3) + (i - 1) * (w + 2) + (j - 1)  # margin plus the tap's flat offset
+        col[t * cin:(t + 1) * cin, :e - s] = xf[:, s + o:e + o]
+    return col[:, :e - s]
+
+
+def _shifted_gemm(xf: np.ndarray, kmat: np.ndarray, w: int, n: int) -> np.ndarray:
+    """(Cout, n): kmat (Cout, 9*Cin) times the columns of flat positions [0, n), by chunks."""
+    out = np.empty((kmat.shape[0], n), dtype=xf.dtype)
+    col = np.empty((kmat.shape[1], min(_CHUNK, n)), dtype=xf.dtype)
+    for s in range(0, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        np.matmul(kmat, _columns(xf, w, s, e, col), out=out[:, s:e])
+    return out
+
+
 def conv3x3(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
-    """3x3 convolution with zero padding 1 on (C,H,W) or (P,C,H,W); k is (Cout,Cin,3,3)."""
+    """3x3 convolution with zero padding 1 on (C,H,W) or (P,C,H,W); k is (Cout,Cin,3,3).
+
+    The input is padded once into a channel-major flat buffer (`_pad_flat`) in which
+    tap (i, j) is the column offset (i-1)(W+2) + (j-1). Output positions are walked in
+    fixed chunks: the 9 shifted slices of a chunk fill one (9*Cin, chunk) buffer and one
+    GEMM with the (Cout, 9*Cin) kernel matrix writes the chunk. Outputs at the padding
+    are computed and cropped. The backward pass accumulates gk chunk by chunk from
+    rebuilt columns and runs the same GEMM on the padded gradient with the flipped,
+    transposed kernel for gx, so no full im2col matrix is ever held.
+    """
     xd = x.data
     squeezed = xd.ndim == 3
     if squeezed:
@@ -376,10 +432,13 @@ def conv3x3(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
     cout, cin = k.data.shape[:2]
     if k.data.shape[2:] != (3, 3) or xd.shape[1] != cin:
         raise ValueError(f"kernel/channel mismatch: x {x.data.shape} vs k {k.data.shape}")
-    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (P,C,H,W,3,3)
-    out_d = np.einsum("pchwij,dcij->pdhw", win, k.data, optimize=True)
-    out_d = out_d + b.data[:, None, None]
+    p, _, h, w = xd.shape
+    dt = np.result_type(xd, k.data, b.data)
+    m = w + 3  # the largest tap offset, so no shift leaves the buffer
+    n = p * (h + 2) * (w + 2)
+    xf = _pad_flat(xd.astype(dt, copy=False), m)
+    kmat = k.data.transpose(0, 2, 3, 1).reshape(cout, 9 * cin).astype(dt, copy=False)
+    out_d = _crop(_shifted_gemm(xf, kmat, w, n), (p, cout, h, w), b.data)
     if squeezed:
         out_d = out_d[0]
     out = _out(out_d, x, k, b)
@@ -387,13 +446,19 @@ def conv3x3(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         g4 = g[None] if squeezed else g
         gb = g4.sum(axis=(0, 2, 3)) if b.requires_grad else None
-        gk = np.einsum("pchwij,pdhw->dcij", win, g4, optimize=True) if k.requires_grad else None
+        gf = _pad_flat(g4.astype(dt, copy=False), m)
+        gk = None
+        if k.requires_grad:
+            gkmat = np.zeros((cout, 9 * cin), dtype=dt)
+            col = np.empty((9 * cin, min(_CHUNK, n)), dtype=dt)
+            for s in range(0, n, _CHUNK):
+                e = min(s + _CHUNK, n)
+                gkmat += gf[:, m + s:m + e] @ _columns(xf, w, s, e, col).T
+            gk = np.ascontiguousarray(gkmat.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2))
         gx = None
         if x.requires_grad:
-            gp = np.pad(g4, ((0, 0), (0, 0), (1, 1), (1, 1)))
-            gwin = sliding_window_view(gp, (3, 3), axis=(2, 3))
-            kf = np.ascontiguousarray(k.data[:, :, ::-1, ::-1])
-            gx = np.einsum("pdhwij,dcij->pchw", gwin, kf, optimize=True)
+            kflip = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(cin, 9 * cout)
+            gx = _crop(_shifted_gemm(gf, kflip.astype(dt, copy=False), w, n), (p, cin, h, w))
             if squeezed:
                 gx = gx[0]
         return gx, gk, gb

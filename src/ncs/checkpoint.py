@@ -10,9 +10,9 @@ Each part of the schema is written down once. Record dtype codes are indices int
 optimizer record names come from `ModelParams.named_tensors`; the arch metadata is
 the fields of `ArchConfig`. `restore_state` builds a fresh model for the stored
 arch and loads each stored tensor into it by name. Anything unreadable or
-inconsistent (a malformed record or metadata, a tensor that does not fit the
-stored arch) raises `CheckpointError`. A save writes a sibling temporary file and
-renames it over the target, so an interrupted save leaves the old file intact.
+inconsistent (a malformed record or metadata, a tensor or optimizer state that does
+not fit the stored arch) raises `CheckpointError`. A save writes a sibling temporary
+file and renames it over the target, so an interrupted save leaves the old file intact.
 """
 
 from __future__ import annotations
@@ -238,8 +238,8 @@ def restore_state(ckpt: Checkpoint):
     """Rebuild (mesh, global_chart, patchset, params) from a loaded checkpoint.
 
     The model is built fresh for the stored arch and takes each stored tensor by
-    name; a tensor set, tensor shape or pca frame set that does not fit that arch
-    raises CheckpointError."""
+    name; a tensor set, tensor shape, non-empty optimizer state set or shape, or pca
+    frame set that does not fit that arch raises CheckpointError."""
     mesh = TriMesh(ckpt.mesh_vertices, ckpt.mesh_faces, uv=ckpt.global_uv.copy())
     global_chart = DiskChart(mesh.vertices, mesh.faces, ckpt.global_uv, ckpt.global_boundary)
 
@@ -264,15 +264,19 @@ def restore_state(ckpt: Checkpoint):
     if dataclasses.asdict(config) != arch:
         raise CheckpointError(f"arch metadata {ckpt.arch} lacks some ArchConfig fields")
     named = params.named_tensors()
-    if sorted(ckpt.tensors) != sorted(named):
-        raise CheckpointError(f"stored tensors {sorted(ckpt.tensors)} do not match the stored "
-                              f"arch's {sorted(named)}")
+    checks = [("tensor", ckpt.tensors)]
+    if ckpt.opt_state:  # a save without optimizers stores no optimizer state at all
+        checks.append(("optimizer state", ckpt.opt_state))
+    for kind, stored in checks:
+        if sorted(stored) != sorted(named):
+            raise CheckpointError(f"stored {kind} names {sorted(stored)} do not match the "
+                                  f"stored arch's {sorted(named)}")
+        for name, t in named.items():
+            if stored[name].shape != t.shape:
+                raise CheckpointError(f"{kind} {name} has shape {stored[name].shape}, the "
+                                      f"stored arch needs {t.shape}")
     for name, t in named.items():
-        stored = ckpt.tensors[name]
-        if stored.shape != t.shape:
-            raise CheckpointError(f"tensor {name} has shape {stored.shape}, the stored arch "
-                                  f"needs {t.shape}")
-        t.data = stored
+        t.data = ckpt.tensors[name]
     shape = None if ckpt.pca_frames is None else ckpt.pca_frames.shape
     want = (patchset.n_patches, 3, 3) if config.mode == "pca" else None
     if shape != want:

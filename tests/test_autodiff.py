@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ncs import autodiff as ad
 from ncs.errors import NumericError, TapeError
@@ -68,6 +69,96 @@ class TestConv:
         assert err < 1e-5
 
 
+    def test_conv_gradients_across_chunks(self):
+        # the flat axis spans three GEMM chunks and is not a multiple of the chunk size
+        x = ad.param(rng.normal(size=(2, 2, 64, 64)))
+        n = 2 * 66 * 66
+        assert n > 2 * ad._CHUNK and n % ad._CHUNK
+        k = ad.param(rng.normal(size=(3, 2, 3, 3)) * 0.3)
+        b = ad.param(rng.normal(size=3) * 0.1)
+        v = rng.normal(size=(2, 3, 64, 64))
+        err = fd(lambda ps: weighted_sum(ad.conv3x3(ps[0], ps[1], ps[2]), v), [x, k, b])
+        assert err < 1e-5
+
+
+def einsum_conv3x3(x, k, b, g):
+    """The sliding-window einsum convolution that `ad.conv3x3` replaced, kept as the
+    oracle: (out, gx, gk, gb) for input x, kernel k, bias b and output gradient g."""
+    squeezed = x.ndim == 3
+    x4, g4 = (x[None], g[None]) if squeezed else (x, g)
+    win = sliding_window_view(np.pad(x4, ((0, 0), (0, 0), (1, 1), (1, 1))), (3, 3), axis=(2, 3))
+    out = np.einsum("pchwij,dcij->pdhw", win, k, optimize=True) + b[:, None, None]
+    gk = np.einsum("pchwij,pdhw->dcij", win, g4, optimize=True)
+    gwin = sliding_window_view(np.pad(g4, ((0, 0), (0, 0), (1, 1), (1, 1))), (3, 3), axis=(2, 3))
+    gx = np.einsum("pdhwij,dcij->pchw", gwin, k[:, :, ::-1, ::-1], optimize=True)
+    gb = g4.sum(axis=(0, 2, 3))
+    return (out[0], gx[0], gk, gb) if squeezed else (out, gx, gk, gb)
+
+
+class TestConvAgainstEinsum:
+    """The shifted-GEMM conv3x3 against the einsum oracle: forward, gx, gk and gb."""
+
+    TOL = {np.float32: 1e-5, np.float64: 1e-12}  # relative to the oracle's max |value|
+    SHAPES = {  # x shape, Cout
+        "squeezed": ((3, 5, 4), 4),
+        "one_image": ((1, 2, 6, 6), 2),
+        "h_ne_w": ((2, 3, 5, 9), 3),
+        "1x1": ((2, 3, 1, 1), 3),
+        "1xN": ((2, 2, 1, 7), 2),
+        "Nx1": ((2, 2, 7, 1), 2),
+        "cin_ne_cout": ((2, 3, 4, 5), 6),
+        "chunks": ((3, 2, 60, 61), 5),  # 3*62*63 flat columns: three chunks, the last partial
+    }
+
+    @staticmethod
+    def _run(x, k, b, g, constant=""):
+        """conv3x3 forward and the gradients of sum(out * g); `constant` names an input
+        ("x" or "k") that is passed as a constant."""
+        xt = ad.const(x) if constant == "x" else ad.param(x)
+        kt = ad.const(k) if constant == "k" else ad.param(k)
+        bt = ad.param(b)
+        with ad.Tape() as tape:
+            out = ad.conv3x3(xt, kt, bt)
+            loss = ad.reduce_sum(ad.mul(out, ad.const(g)))
+        ad.backprop(tape, loss)
+        return out.data, xt.grad, kt.grad, bt.grad
+
+    @staticmethod
+    def _inputs(shape, cout, dtype):
+        r = np.random.default_rng(sum(shape) + cout)
+        gshape = shape[:-3] + (cout,) + shape[-2:]
+        return (r.normal(size=shape).astype(dtype),
+                r.normal(size=(cout, shape[-3], 3, 3)).astype(dtype),
+                r.normal(size=cout).astype(dtype), r.normal(size=gshape).astype(dtype))
+
+    def _assert_close(self, got, want, dtype):
+        assert got.shape == want.shape and got.dtype == dtype
+        scale = max(float(np.abs(want).max()), np.finfo(dtype).tiny)
+        assert float(np.abs(got - want).max()) <= self.TOL[dtype] * scale
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", SHAPES)
+    def test_matches_einsum(self, case, dtype):
+        shape, cout = self.SHAPES[case]
+        if case == "chunks":
+            n = 3 * 62 * 63
+            assert n > 2 * ad._CHUNK and n % ad._CHUNK
+        x, k, b, g = self._inputs(shape, cout, dtype)
+        for got, want in zip(self._run(x, k, b, g), einsum_conv3x3(x, k, b, g), strict=True):
+            self._assert_close(got, want, dtype)
+
+    @pytest.mark.parametrize("constant", ["x", "k"])
+    def test_constant_input_gets_no_gradient(self, constant):
+        shape, cout = self.SHAPES["chunks"]
+        x, k, b, g = self._inputs(shape, cout, np.float32)
+        out, gx, gk, gb = self._run(x, k, b, g, constant)
+        want = einsum_conv3x3(x, k, b, g)
+        assert (gx if constant == "x" else gk) is None
+        for got, ref in ((out, want[0]), (gx, want[1]), (gk, want[2]), (gb, want[3])):
+            if got is not None:
+                self._assert_close(got, ref, np.float32)
+
+
 class TestUpsample:
     def test_block_duplication(self):
         x = ad.const(np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32))
@@ -78,6 +169,20 @@ class TestUpsample:
     def test_single_pixel(self):
         out = ad.upsample2x(ad.const(np.full((1, 1, 1), 7.0, dtype=np.float32)))
         assert np.array_equal(out.data, np.full((1, 2, 2), 7.0, dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(20, 8, 16, 16), (20, 8, 256, 256), (21, 4, 8, 8),
+                                       (21, 4, 64, 64), (3, 6, 10)])
+    def test_backward_equals_two_axis_sum(self, shape, dtype):
+        # the phase add is bit-identical to the two-axis sum it replaced at decoder shapes
+        g = rng.normal(size=shape).astype(dtype)
+        x = ad.param(np.zeros(shape[:-2] + (shape[-2] // 2, shape[-1] // 2), dtype=dtype))
+        with ad.Tape() as tape:
+            out = ad.reduce_sum(ad.mul(ad.upsample2x(x), ad.const(g)))
+        (gx,) = ad.backprop(tape, out, leaves=[x])
+        s = g.shape
+        old = g.reshape(s[:-2] + (s[-2] // 2, 2, s[-1] // 2, 2)).sum(axis=(-3, -1))
+        assert np.array_equal(gx, old)
 
     def test_backward_sums_four_copies(self):
         x = ad.param(rng.normal(size=(1, 3, 3)).astype(np.float32))

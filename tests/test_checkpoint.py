@@ -14,23 +14,28 @@ from ncs import model as mo
 from ncs import training as tr
 from ncs.errors import CheckpointError
 
-# frozen: sha256 of the checkpoint that `_tiny_checkpoint` saves, recorded with the
-# hand-written tensor, optimizer, patch and arch schemas that the name tables
-# replaced; any drift in the version-1 format, record order or names fails
+# frozen: sha256 of the checkpoint that `_tiny_checkpoint` saves, recorded before the
+# shifted-GEMM conv3x3 and unchanged by it; any drift in the version-1 format, record
+# order or names fails
 FROZEN_DIGESTS = {
-    "vector": "36305c9dbc16fcba95025c0b5ec8f8761b6ceaac6c8c37ba6c3c1e606db030cf",
-    "pca": "555b9e1e16996b2456ed934f4ee3b51168137ec51ddcb14dfc31db1658a0d9bf",
+    "vector": "36bccdc6a0a080e2f5581d4cc03786d5bb7e3a1f7ab16ced8d7966fb27a7513c",
+    "pca": "95b3f6e9d786a2408b908033c750f517e48432b17c6031ce2f028b29a0bc4b33",
 }
 
 
 def _tiny_checkpoint(bumpy16, small_arch, mode):
-    """Checkpoint of a 4-iteration fit with optimizer state, deterministic per mode."""
-    mesh, chart, patchset, ctx = bumpy16
+    """Checkpoint of a seeded model with seeded optimizer state, deterministic per mode.
+
+    Built without `fit`, so the digest pins the file format and not the rounding of
+    training arithmetic; the two RMSProp groups are the ones `fit` builds."""
+    mesh, chart, patchset, _ = bumpy16
     params = mo.build_model(dataclasses.replace(small_arch, mode=mode), patchset, seed=2, mesh=mesh)
-    sched = tr.TrainSchedule(warmup_iters=2, total_iters=4, base_lr=1e-4)
-    res = tr.fit(mesh, chart, patchset, params, sched, batch_size=64, seed=3, log_every=0, ctx=ctx)
-    return ck.checkpoint_from_state("[mesh]\npath = x.obj\n", 4, mesh, chart, patchset, params,
-                                    (res.opt_coarse, res.opt_fine))
+    opts = (ad.RMSProp(params.coarse_tensors()), ad.RMSProp(params.fine_tensors()))
+    rng = np.random.default_rng(3)
+    for opt in opts:
+        for v in opt.state:
+            v[...] = rng.random(v.shape)
+    return ck.checkpoint_from_state("[mesh]\npath = x.obj\n", 4, mesh, chart, patchset, params, opts)
 
 
 @pytest.fixture()
@@ -158,7 +163,8 @@ class TestMalformed:
 
     META_KEYS = ["config_text", "iteration", "n_patches", "patch_meta", "patch_centers", "arch"]
     EDITS = ["drop_key", "bad_json", "not_object", "extra_patch", "arch_key", "arch_width",
-             "cnn_blocks", "code_shape", "mode", "dtype_code", "dim", "cut", "drop_record"]
+             "cnn_blocks", "code_shape", "mode", "dtype_code", "dim", "cut", "drop_record",
+             "drop_opt", "reshape_opt"]
 
     @staticmethod
     def _edit(edit, meta, records, draw):
@@ -202,7 +208,27 @@ class TestMalformed:
         elif edit == "drop_record":
             keep = [r for r in records if not r[2:].startswith(b"opt.")]
             del records[records.index(draw(st.sampled_from(keep)))]
+        elif edit == "drop_opt":
+            del records[records.index(draw(st.sampled_from(TestMalformed._opt_records(records))))]
+        elif edit == "reshape_opt":
+            k = records.index(draw(st.sampled_from(TestMalformed._opt_records(records))))
+            records[k] = TestMalformed._reshaped(records[k])
         return meta, records
+
+    @staticmethod
+    def _opt_records(records):
+        return [r for r in records if r[2:].startswith(b"opt.")]
+
+    @staticmethod
+    def _reshaped(rec):
+        """The record with its data viewed as a flat vector: same bytes, another shape."""
+        (nlen,) = struct.unpack_from("<H", rec, 0)
+        code, ndim = rec[2 + nlen], rec[2 + nlen + 1]
+        dims = struct.unpack_from(f"<{ndim}I", rec, 2 + nlen + 2)
+        body = rec[2 + nlen + 2 + 4 * ndim:]  # byte count and data
+        shape = (int(np.prod(dims)),) if ndim != 1 else (dims[0], 1)
+        return (rec[:2 + nlen] + struct.pack(f"<BB{len(shape)}I", code, len(shape), *shape)
+                + body)
 
     @settings(max_examples=80, deadline=None)
     @given(mode=st.sampled_from(["vector", "pca"]), edit=st.sampled_from(EDITS), data=st.data())

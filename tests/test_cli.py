@@ -122,15 +122,17 @@ class TestExitCodes:
         bad.write_bytes(b"NCSCKPT\x00" + b"\x01\x00\x00\x00" + b"garbage")
         assert main(["reconstruct", str(bad), "-o", str(tmp_path / "o.obj")]) == 2
 
-    @pytest.mark.parametrize("edit", ["drop_arch", "fine_widths"])
+    @pytest.mark.parametrize("edit", ["drop_arch", "fine_widths", "drop_opt"])
     def test_malformed_checkpoint_is_2(self, fitted_run, tmp_path, edit, capsys):
         # CRC rebuilt, so the loader and restore_state must catch these themselves
         _, out = fitted_run
         meta, records = split_checkpoint((out / "model.ncs").read_bytes())
         if edit == "drop_arch":
             del meta["arch"]
-        else:
+        elif edit == "fine_widths":
             meta["arch"]["fine_widths"][0] += 1
+        else:  # one optimizer record of the fit's state missing
+            records = [r for r in records if not r[2:].startswith(b"opt.codes")]
         bad = tmp_path / "bad.ncs"
         bad.write_bytes(pack_checkpoint(meta, records))
         assert main(["reconstruct", str(bad), "-o", str(tmp_path / "o.obj")]) == 2
