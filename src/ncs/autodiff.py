@@ -2,7 +2,9 @@
 
 The op set is exactly what the surface model needs: batched affine layers, 3x3
 convolutions with zero padding, nearest-neighbor upsampling, bilinear grid
-lookups, segment reductions, and a handful of pointwise/reduction primitives.
+lookups, an upsampling residual block evaluated only at the pixels a set of
+bilinear lookups reads (`residual_block_at`), segment reductions, and a handful
+of pointwise/reduction primitives.
 
 Arithmetic is float32 unless the inputs are float64; the finite-difference
 oracle promotes everything to float64. One `Tape` records one forward pass and
@@ -12,6 +14,11 @@ oracle promotes everything to float64. One `Tape` records one forward pass and
 zero-padded and end to end in one channel-major flat buffer, where each of the 9
 taps is a fixed column offset. Fixed-size chunks of shifted columns go through
 one BLAS matmul each, in both passes, so no full im2col matrix is ever built.
+
+`residual_block_at` follows the active-site idea of submanifold sparse
+convolution (Graham & van der Maaten 2017): activations are position-major rows,
+one per pixel that the lookups need, and each convolution is one row gather plus
+one GEMM, in the backward pass too.
 """
 
 from __future__ import annotations
@@ -344,7 +351,9 @@ def segment_sum(x: Tensor, seg: np.ndarray, n: int) -> Tensor:
     """Sum rows of x (M, D) into n bins given constant bin ids seg (M,)."""
     seg = np.asarray(seg, dtype=np.int64)
     out_d = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
-    np.add.at(out_d, seg, x.data)
+    d = int(np.prod(x.data.shape[1:]))
+    # one flat scatter adds the rows element by element in row order, as a row scatter would
+    np.add.at(out_d.reshape(-1), (seg[:, None] * d + np.arange(d)).reshape(-1), x.data.reshape(-1))
     out = _out(out_d, x)
 
     def bw(g):
@@ -516,16 +525,17 @@ def grid_sample(grids: Tensor, idx: np.ndarray, uv: np.ndarray) -> Tensor:
     w10 = (1 - wx) * wy
     w11 = wx * wy
     out = _out((v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11).reshape(out_shape), grids)
-    ch = np.arange(c)[None, :]
-    rows = idx[:, None]
 
     def bw(gr):
         gr = gr.reshape(-1, c)
         gg = np.zeros_like(g)
-        np.add.at(gg, (rows, ch, y0[:, None], x0[:, None]), gr * w00)
-        np.add.at(gg, (rows, ch, y0[:, None], x1[:, None]), gr * w01)
-        np.add.at(gg, (rows, ch, y1[:, None], x0[:, None]), gr * w10)
-        np.add.at(gg, (rows, ch, y1[:, None], x1[:, None]), gr * w11)
+        # one scatter over the flat (P,C,H,W) index of every tap and channel, taps 00, 01,
+        # 10, 11 each in row order: the adds of four per-tap scatters, in their order
+        rowch = (idx[:, None] * c + np.arange(c)) * h
+        flat = np.concatenate([((rowch + y[:, None]) * w + x[:, None]).reshape(-1)
+                               for y, x in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))])
+        vals = np.concatenate([gr * w00, gr * w01, gr * w10, gr * w11])
+        np.add.at(gg.reshape(-1), flat, vals.reshape(-1))
         return (gg[0] if squeezed else gg,)
 
     return _emit(out, (grids,), bw)
@@ -534,6 +544,189 @@ def grid_sample(grids: Tensor, idx: np.ndarray, uv: np.ndarray) -> Tensor:
 def bilinear_sample(grid: Tensor, uv) -> Tensor:
     """Sample one (C,H,W) grid at a single uv point in [-1,1]^2 -> (C,)."""
     return grid_sample(grid, 0, uv)
+
+
+# ---------------------------------------------------------------------------
+# a residual block evaluated only where bilinear lookups read it
+# ---------------------------------------------------------------------------
+
+def _dilate3x3(m: np.ndarray) -> np.ndarray:
+    """3x3 dilation of a (P,H,W) mask inside each image."""
+    r = m.copy()
+    r[:, 1:] |= m[:, :-1]
+    r[:, :-1] |= m[:, 1:]
+    out = r.copy()
+    out[:, :, 1:] |= r[:, :, :-1]
+    out[:, :, :-1] |= r[:, :, 1:]
+    return out
+
+
+class TapSites:
+    """Where bilinear lookups (idx, uv) read a stack of P images of H x W pixels.
+
+    The pixels live in a frame padded by one zero pixel on every side, (P, H+2, W+2),
+    flattened, so a 3x3 tap is a fixed flat offset and an image border reads padding.
+    `s0` marks the tap pixels; `s1` their 3x3 dilation inside each image, the pixels a
+    3x3 convolution at the taps reads. `taps` holds the padded flat id of each lookup's
+    four taps (00, 01, 10, 11, each (M,)), `fx`/`fy` the bilinear fractions.
+    """
+
+    def __init__(self, shape: tuple[int, int, int], idx, uv):
+        p, h, w = shape
+        self.shape = (p, h, w)
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+        x0, x1, y0, y1, self.fx, self.fy = _bilerp_coords(h, w, uv)
+        rows = idx * (h + 2) + 1
+        self.taps = np.stack([(rows + y) * (w + 2) + x + 1
+                              for y, x in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))])
+        s0 = np.zeros((p, h + 2, w + 2), dtype=bool)
+        s0.reshape(-1)[self.taps.reshape(-1)] = True
+        self.s0 = s0
+        self.s1 = np.zeros_like(s0)
+        self.s1[:, 1:-1, 1:-1] = _dilate3x3(s0[:, 1:-1, 1:-1])
+
+    @property
+    def halo_fraction(self) -> float:
+        """Share of the P*H*W pixels in `s1`."""
+        p, h, w = self.shape
+        return np.count_nonzero(self.s1) / (p * h * w)
+
+
+def _row_map(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sites, map): the flat ids of a mask's set pixels in order, and for every pixel
+    its row among them, or len(sites), the zero row appended after them, if unset."""
+    sites = np.flatnonzero(mask)
+    rows = np.full(mask.size, len(sites), dtype=np.intp)
+    rows[sites] = np.arange(len(sites))
+    return sites, rows
+
+
+def _with_zero_row(a: np.ndarray) -> np.ndarray:
+    return np.concatenate([a, np.zeros((1, a.shape[1]), dtype=a.dtype)])
+
+
+def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
+                      sites: TapSites) -> Tensor:
+    """grid_sample(conv_residual_block(upsample2x(x), k1, b1, k2, b2), idx, uv) -> (M, C)
+    for the lookups of `sites`, computing the block only where the lookups read it.
+
+    x is (P,C,h,w) and `sites` is built for (P, 2h, 2w). conv2 runs at the tap pixels
+    S0 and conv1 at S1, their 3x3 dilation; the upsampled input is read from x by
+    index. Each convolution is a gather of position-major rows, (sites, 9*C) columns
+    with zero rows for the padding and the unset pixels, and one GEMM; the backward
+    passes are gathers and GEMMs too, and the one scatter adds the four taps' gradients
+    onto the S0 rows. Sums run in another order than the dense block's, so the two agree
+    to float rounding; pixels the lookups do not read get exactly zero gradient.
+    """
+    p, c, h, w = x.data.shape
+    if k1.data.shape != (c, c, 3, 3) or k2.data.shape != (c, c, 3, 3):
+        raise ValueError(f"kernel/channel mismatch: x {x.data.shape} vs k {k1.data.shape}, {k2.data.shape}")
+    if sites.shape != (p, 2 * h, 2 * w):
+        raise ValueError(f"sites are for {sites.shape}, the upsampled x is {(p, 2 * h, 2 * w)}")
+    dt = np.result_type(x.data, k1.data, b1.data, k2.data, b2.data)
+    wp = 2 * w + 2  # row length of the padded high-res frame
+    offs = np.array([(i - 1) * wp + (j - 1) for i in range(3) for j in range(3)])  # tap t = 3i+j
+    s0, map0 = _row_map(sites.s0)
+    s1, map1 = _row_map(sites.s1)
+    n0, n1 = len(s0), len(s1)
+
+    # x as rows of a low-res frame padded like the high-res one: high-res pixel (r, c),
+    # padding included, reads low-res row (r//2, c//2) of the padded (h+2, w+2) frame
+    xz = np.zeros((p, h + 2, w + 2, c), dtype=dt)
+    xz[:, 1:-1, 1:-1] = x.data.transpose(0, 2, 3, 1)
+    xrows = xz.reshape(-1, c)
+
+    def low_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Low-res padded row of each padded high-res flat id (the upsample by index),
+        and the id's parity class 2*(row % 2) + (column % 2)."""
+        img, rc = np.divmod(ids, (2 * h + 2) * wp)
+        r, col = np.divmod(rc, wp)
+        return (img * (h + 2) + (r + 1) // 2) * (w + 2) + (col + 1) // 2, 2 * (r % 2) + col % 2
+
+    # low-res row shift of high-res tap shift d = -1..1 from a row of parity 0 or 1
+    par = np.arange(2)[:, None]
+    shift = (par + np.arange(-1, 2) + 1) // 2 - (par + 1) // 2
+    tap_rows = (shift[:, None, :, None] * (w + 2) + shift[None, :, None, :]).reshape(4, 9)
+    kmat = lambda k: k.data.transpose(2, 3, 1, 0).reshape(9 * c, c).astype(dt, copy=False)
+    # conv1 at S1, reading upsample2x(x) at the 3x3 neighbours of each S1 pixel
+    lo1, par1 = low_rows(s1)
+    col1 = np.take(xrows, lo1[:, None] + np.take(tap_rows, par1, axis=0), axis=0).reshape(n1, 9 * c)
+    pre1 = col1 @ kmat(k1) + b1.data
+    _note_kinks(pre1)
+    # conv2 at S0, reading relu(conv1) from the S1 rows; the residual input is up(x) at S0
+    col2 = np.take(_with_zero_row(np.maximum(pre1, 0)), np.take(map1, s0[:, None] + offs), axis=0)
+    col2 = col2.reshape(n0, 9 * c)
+    pre2 = np.take(xrows, low_rows(s0)[0], axis=0) + (col2 @ kmat(k2) + b2.data)
+    _note_kinks(pre2)
+    y = np.maximum(pre2, 0)
+
+    wx = sites.fx[:, None].astype(dt)
+    wy = sites.fy[:, None].astype(dt)
+    weights = ((1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy)
+    taps = np.take(map0, sites.taps)  # (4, M) rows of S0
+    v = np.take(y, taps, axis=0)
+    out_d = v[0] * weights[0] + v[1] * weights[1] + v[2] * weights[2] + v[3] * weights[3]
+    out = _out(out_d, x, k1, b1, k2, b2)
+
+    def bw(g):
+        # the four taps' gradients onto the S0 rows, in one flat scatter
+        gy = np.zeros(n0 * c, dtype=dt)
+        np.add.at(gy, (taps[..., None] * c + np.arange(c)).reshape(-1),
+                  np.stack([g * wk for wk in weights]).reshape(-1))
+        gpre2 = gy.reshape(n0, c) * (pre2 > 0)
+        # conv2 backward: S1 pixel s takes tap t's gradient from S0 pixel s - off_t
+        gcol = np.take(_with_zero_row(gpre2), np.take(map0, s1[:, None] - offs), axis=0)
+        k2t = k2.data.transpose(2, 3, 0, 1).reshape(9 * c, c).astype(dt, copy=False)
+        gpre1 = (gcol.reshape(n1, 9 * c) @ k2t) * (pre1 > 0)
+        gk = lambda col, gpre: np.ascontiguousarray(
+            (col.T @ gpre).reshape(3, 3, c, c).transpose(3, 2, 0, 1))
+        gx = None
+        if x.requires_grad:
+            gx = _residual_block_at_gx(gpre1, gpre2, map0, map1, sites, k1.data.astype(dt, copy=False))
+        return (gx, gk(col1, gpre1) if k1.requires_grad else None, gpre1.sum(axis=0),
+                gk(col2, gpre2) if k2.requires_grad else None, gpre2.sum(axis=0))
+
+    return _emit(out, (x, k1, b1, k2, b2), bw)
+
+
+# per axis, the kernel taps i whose shift i-1 carries a high-res gradient at displacement
+# d = -1..2 from pixel 2q onto low-res pixel q: d + i - 1 must be 0 or 1
+_PHASE_TAPS = np.array([[0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0]])
+
+
+def _residual_block_at_gx(gpre1, gpre2, map0, map1, sites: TapSites, k1: np.ndarray) -> np.ndarray:
+    """Gradient of `residual_block_at` with respect to its low-res input x (P,C,h,w).
+
+    Low-res pixel q collects conv1's input gradient over its four upsampled copies
+    2q + phase. Each copy takes tap t from S1 pixel 2q + phase - off_t, so q reads the
+    4x4 high-res window 2q + d, d = -1..2, through the taps summed per displacement
+    (`_PHASE_TAPS`): one gather of 16 S1 rows and one GEMM per low-res pixel, plus
+    the residual gradient of its four copies from S0. Only low-res pixels whose window
+    meets S1 are computed; the rest are zero.
+    """
+    p, hp, wp = sites.s1.shape
+    h, w = (hp - 2) // 2, (wp - 2) // 2
+    c = gpre1.shape[1]
+    # low-res pixels whose 4x4 window (padded rows and columns 2a..2a+3) meets S1
+    pairs = sites.s1[:, 0::2] | sites.s1[:, 1::2]
+    rows = pairs[:, :-1] | pairs[:, 1:]
+    pairs = rows[:, :, 0::2] | rows[:, :, 1::2]
+    live = np.flatnonzero(pairs[:, :, :-1] | pairs[:, :, 1:])
+    img, rc = np.divmod(live, h * w)
+    a, b = np.divmod(rc, w)
+    base = (img * hp + 2 * a + 1) * wp + 2 * b + 1  # padded high-res id of 2q
+    d = np.arange(-1, 3)
+    disp = (d[:, None] * wp + d[None, :]).reshape(-1)
+    taps = _PHASE_TAPS.astype(k1.dtype)
+    kd = (taps @ k1 @ taps.T).transpose(2, 3, 0, 1).reshape(16 * c, c)  # (4, 4, Cout, Cin)
+    col = np.take(_with_zero_row(gpre1), np.take(map1, base[:, None] + disp), axis=0)
+    gq = col.reshape(len(live), 16 * c) @ kd
+    res = np.take(_with_zero_row(gpre2), np.take(map0, base[:, None] + disp[[5, 6, 9, 10]]), axis=0)
+    gq += (res[:, 0] + res[:, 1]) + (res[:, 2] + res[:, 3])
+    gx = np.zeros((p * h * w, c), dtype=gpre1.dtype)
+    gx[live] = gq
+    return np.ascontiguousarray(gx.reshape(p, h, w, c).transpose(0, 3, 1, 2))
 
 
 # ---------------------------------------------------------------------------

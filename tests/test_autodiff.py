@@ -225,6 +225,138 @@ class TestBilinear:
             np.testing.assert_allclose(batched[i], single, atol=1e-6)
 
 
+def four_scatter_grid_sample_bw(shape, idx, uv, gr):
+    """The four-scatter `grid_sample` backward that the one flat scatter replaced, kept
+    as the oracle: the (P,C,H,W) gradient of lookups (idx, uv) with output gradient gr."""
+    p, c, h, w = shape
+    x0, x1, y0, y1, fx, fy = ad._bilerp_coords(h, w, np.asarray(uv, dtype=np.float64))
+    wx, wy = fx[:, None].astype(gr.dtype), fy[:, None].astype(gr.dtype)
+    rows, ch = idx[:, None], np.arange(c)[None, :]
+    gg = np.zeros(shape, dtype=gr.dtype)
+    np.add.at(gg, (rows, ch, y0[:, None], x0[:, None]), gr * ((1 - wx) * (1 - wy)))
+    np.add.at(gg, (rows, ch, y0[:, None], x1[:, None]), gr * (wx * (1 - wy)))
+    np.add.at(gg, (rows, ch, y1[:, None], x0[:, None]), gr * ((1 - wx) * wy))
+    np.add.at(gg, (rows, ch, y1[:, None], x1[:, None]), gr * (wx * wy))
+    return gg
+
+
+class TestFlatScatter:
+    """grid_sample and segment_sum scatter through one flat np.add.at, bit-identical to
+    the per-tap and per-row scatters they replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,m", [((20, 4, 32, 32), 4000), ((20, 8, 128, 128), 4600),
+                                         ((1, 3, 2, 2), 50)])
+    def test_grid_sample_backward_equals_four_scatters(self, shape, m, dtype):
+        r = np.random.default_rng(m)
+        idx = r.integers(0, shape[0], size=m)
+        uv = r.uniform(-1.05, 1.05, size=(m, 2))
+        uv[: m // 4] = uv[m // 4: 2 * (m // 4)]  # repeated lookups add onto the same pixels
+        gr = r.normal(size=(m, shape[1])).astype(dtype)
+        g = ad.param(r.normal(size=shape).astype(dtype))
+        with ad.Tape() as tape:
+            out = ad.reduce_sum(ad.mul(ad.grid_sample(g, idx, uv), ad.const(gr)))
+        (gg,) = ad.backprop(tape, out, leaves=[g])
+        assert np.array_equal(gg, four_scatter_grid_sample_bw(shape, idx, uv, gr))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_sum_equals_row_scatter(self, dtype):
+        r = np.random.default_rng(3)
+        x = r.normal(size=(4600, 3)).astype(dtype)
+        seg = np.sort(r.integers(0, 2048, size=4600))
+        old = np.zeros((2048, 3), dtype=dtype)
+        np.add.at(old, seg, x)
+        assert np.array_equal(ad.segment_sum(ad.const(x), seg, 2048).data, old)
+
+
+def dense_block_then_sample(x, k1, b1, k2, b2, idx, uv):
+    """The dense oracle of `residual_block_at`: the whole block, then the lookups."""
+    return ad.grid_sample(ad.conv_residual_block(ad.upsample2x(x), k1, b1, k2, b2), idx, uv)
+
+
+def restricted_block(x, k1, b1, k2, b2, idx, uv):
+    p, _, h, w = x.data.shape
+    return ad.residual_block_at(x, k1, b1, k2, b2, ad.TapSites((p, 2 * h, 2 * w), idx, uv))
+
+
+class TestResidualBlockAt:
+    """The last decoder block evaluated only at the lookups' pixels, against the dense
+    block followed by grid_sample: features and the gradients of x, k1, b1, k2, b2."""
+
+    TOL = {np.float32: 1e-5, np.float64: 1e-12}  # relative to the oracle's max |value|
+
+    @staticmethod
+    def _lookups(case, p, h, w, r):
+        """(idx, uv) for a named case; patch p-1 is never looked up except with P = 1."""
+        m = 40
+        idx = r.integers(0, max(p - 1, 1), size=m)
+        uv = r.uniform(-1, 1, size=(m, 2))
+        if case == "borders":  # taps on the first and last rows and columns
+            uv[:8] = [[-1, -1], [1, 1], [-1, 1], [1, -1], [-1, 0.1], [1, -0.3], [0.2, -1], [-0.4, 1]]
+        elif case == "clamped":  # uv outside [-1, 1] is clamped onto the border
+            uv[:6] = [[-1.7, 0.2], [1.3, -0.5], [0.1, -2.0], [0.3, 1.01], [-1.5, 1.5], [3.0, -3.0]]
+        elif case == "same_pixel":  # two lookups on the same pixel, and on the same point
+            uv[1] = uv[0]
+            idx[1] = idx[0]
+            cell = 2.0 / (2 * w - 1)
+            uv[3] = uv[2] + [0.2 * cell, 0.1 * cell]
+            idx[3] = idx[2]
+        return idx, uv
+
+    def _run(self, fn, x, ks, idx, uv, g):
+        ps = [ad.param(x)] + [ad.param(k) for k in ks]
+        with ad.Tape() as tape:
+            out = fn(*ps, idx, uv)
+            loss = ad.reduce_sum(ad.mul(out, ad.const(g)))
+        return [out.data] + ad.backprop(tape, loss, leaves=ps)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case,shape", [("borders", (3, 4, 5, 6)), ("clamped", (3, 4, 5, 6)),
+                                            ("one_image", (1, 3, 4, 4)), ("same_pixel", (2, 2, 6, 5)),
+                                            ("reference_like", (4, 8, 16, 16))])
+    def test_matches_dense(self, case, shape, dtype):
+        r = np.random.default_rng(len(case))
+        p, c, h, w = shape
+        idx, uv = self._lookups(case, p, h, w, r)
+        x = r.normal(size=shape).astype(dtype)
+        ks = [(r.normal(size=(c, c, 3, 3)) * 0.4).astype(dtype), (r.normal(size=c) * 0.1).astype(dtype),
+              (r.normal(size=(c, c, 3, 3)) * 0.4).astype(dtype), (r.normal(size=c) * 0.1).astype(dtype)]
+        g = r.normal(size=(len(idx), c)).astype(dtype)
+        got = self._run(restricted_block, x, ks, idx, uv, g)
+        want = self._run(dense_block_then_sample, x, ks, idx, uv, g)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.dtype == dtype
+            assert float(np.abs(a - b).max()) <= self.TOL[dtype] * float(np.abs(b).max())
+        if p > 1:
+            assert not got[1][p - 1].any()  # the patch no lookup reads gets exactly zero
+
+    def test_finite_differences(self):
+        r = np.random.default_rng(5)
+        idx, uv = self._lookups("borders", 3, 4, 4, r)
+        x = ad.param(r.normal(size=(3, 2, 4, 4)))
+        ks = [ad.param(r.normal(size=(2, 2, 3, 3)) * 0.4), ad.param(r.normal(size=2) * 0.1),
+              ad.param(r.normal(size=(2, 2, 3, 3)) * 0.4), ad.param(r.normal(size=2) * 0.1)]
+        v = r.normal(size=(len(idx), 2))
+        err = fd(lambda ps: weighted_sum(restricted_block(*ps, idx, uv), v), [x] + ks)
+        assert err < 1e-6
+
+    def test_sites(self):
+        # taps of one lookup at the top-left pixel centre of a 1 x 4 x 6 image: the pixel
+        # and its right and lower neighbours (weights 0), and their 3x3 dilation
+        sites = ad.TapSites((1, 4, 6), [0], [[-1.0, -1.0]])
+        assert np.array_equal(np.argwhere(sites.s0[0]) - 1, [[0, 0], [0, 1], [1, 0], [1, 1]])
+        assert np.count_nonzero(sites.s1) == 9 and sites.s1[0, 1:4, 1:4].all()
+        assert sites.halo_fraction == 9 / 24
+        assert not sites.s0[:, 0].any() and not sites.s1[:, :, 0].any()  # padding stays unset
+
+    def test_rejects_mismatched_sites(self):
+        x = ad.param(np.zeros((2, 2, 3, 3), dtype=np.float32))
+        k = ad.param(np.zeros((2, 2, 3, 3), dtype=np.float32))
+        b = ad.param(np.zeros(2, dtype=np.float32))
+        with pytest.raises(ValueError, match="sites"):
+            ad.residual_block_at(x, k, b, k, b, ad.TapSites((2, 4, 4), [0], [[0.0, 0.0]]))
+
+
 class TestBackprop:
     def test_square_gradient(self):
         x = ad.param(np.array([3.0], dtype=np.float32))

@@ -203,6 +203,124 @@ class TestFineBranch:
         np.testing.assert_allclose(d, out.data[0], atol=1e-7)
 
 
+def _as_dtype(params, dtype):
+    """A copy of the model with every tensor cast to dtype (float64 for the oracles)."""
+    cast = lambda t: ad.param(t.data.astype(dtype))
+    return mo.ModelParams(params.config, [(cast(w), cast(b)) for w, b in params.coarse],
+                          cast(params.codes), [tuple(cast(t) for t in blk) for blk in params.cnn],
+                          [(cast(w), cast(b)) for w, b in params.fine])
+
+
+def _spy_restricted(monkeypatch):
+    """Count the calls of ad.residual_block_at made through the model."""
+    calls = []
+    real = ad.residual_block_at
+
+    def spy(*args):
+        calls.append(args[-1].halo_fraction)
+        return real(*args)
+
+    monkeypatch.setattr(ad, "residual_block_at", spy)
+    return calls
+
+
+class TestRestrictedDecode:
+    """Without decoded grids, the fine branch runs the last CNN block only at the pixels
+    the lookups read and their 3x3 halo, when that halo covers at most half of the
+    decoded pixels; it matches the dense decode followed by grid_sample."""
+
+    TOL = {np.float32: 1e-5, np.float64: 1e-12}  # relative to the oracle's max |value|
+
+    @staticmethod
+    def _displacement(params, batch, dense):
+        """Fine displacement and the gradients of sum(d * v) over codes and the CNN."""
+        leaves = [params.codes] + [t for blk in params.cnn for t in blk]
+        v = np.random.default_rng(0).normal(size=(len(batch), 3))
+        with ad.Tape() as tape:
+            grids = mo.decode_grids(params) if dense else None
+            d = mo._fine_displacement(params, batch.pair_sample, batch.pair_patch, batch.pair_uv,
+                                      batch.pair_w, len(batch), grids)
+            loss = ad.reduce_sum(ad.mul(d, ad.const(v.astype(d.dtype))))
+        return [d.data] + ad.backprop(tape, loss, leaves=leaves)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_dense_decode(self, bumpy16, fitted_small, dtype, monkeypatch):
+        _, _, patchset, ctx = bumpy16
+        params = _as_dtype(fitted_small, dtype)
+        batch = tr.sample_batch(ctx, 8, seed=3)
+        untouched = sorted(set(range(patchset.n_patches)) - set(batch.pair_patch.tolist()))
+        assert untouched  # a patch no sample touches
+        calls = _spy_restricted(monkeypatch)
+        got = self._displacement(params, batch, dense=False)
+        assert len(calls) == 1 and calls[0] <= 0.5
+        want = self._displacement(params, batch, dense=True)
+        assert len(calls) == 1
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.dtype == dtype
+            assert float(np.abs(a - b).max()) <= self.TOL[dtype] * float(np.abs(b).max())
+        assert not got[1][untouched].any()  # exactly zero codes gradient
+
+    def test_finite_diff_through_forward_losses(self, bumpy16, fitted_small, monkeypatch):
+        _, _, _, ctx = bumpy16
+        params = _as_dtype(fitted_small, np.float64)
+        assert params.fine[-1][0].data.any()  # a zero output layer would zero the CNN gradients
+        batch = tr.sample_batch(ctx, 6, seed=2)
+        flat = params.all_tensors()
+        nc = 2 * len(params.coarse)
+        probe = flat[nc:nc + 1 + 4 * len(params.cnn)]  # codes and every CNN tensor
+
+        def loss(ps, scale=1.0):
+            ts = flat[:nc] + list(ps) + flat[nc + len(ps):]
+            it = iter(ts)
+            p = mo.ModelParams(params.config, [(next(it), next(it)) for _ in params.coarse], next(it),
+                               [tuple(next(it) for _ in range(4)) for _ in params.cnn],
+                               [(next(it), next(it)) for _ in params.fine])
+            lj, lr = tr.forward_losses(p, batch)
+            return ad.scale(ad.add(lj, lr), 0.5 * scale)
+
+        calls = _spy_restricted(monkeypatch)
+        # scale the loss so the largest probed gradient is 1: the check's floor is absolute
+        with ad.Tape() as tape:
+            y = loss(probe)
+        gmax = max(float(np.abs(g).max()) for g in ad.backprop(tape, y, leaves=probe))
+        assert calls and max(calls) <= 0.5
+        err = ad.finite_diff_check(lambda ps: loss(ps, 1.0 / gmax), probe, eps=1e-3, n_coords=200, seed=3)
+        assert err < 1e-6
+
+
+@pytest.fixture(scope="module")
+def bumpy64():
+    """The benchmark mesh and patches: bumpy_plane(64), radius 0.25, forbid 0.5, seed 11."""
+    from ncs.patching import extract_patches
+    mesh = normalize_unit_sphere(synth.bumpy_plane(64))
+    chart = embed_disk(mesh)
+    mesh.uv = chart.uv
+    patchset = extract_patches(mesh, 0.25, 0.5, seed=11)
+    return patchset, tr.build_context(mesh, chart, patchset)
+
+
+class TestRestrictRule:
+    """With 2,048-sample batches the desk architecture keeps the dense decode, where the
+    restricted block is slower, and the reference architecture takes the restricted one;
+    both sit far from the one-half threshold."""
+
+    DESK = mo.ArchConfig(coarse_widths=(32, 32), code_shape=(4, 4, 4), cnn_channels=4,
+                         cnn_blocks=3, fine_widths=(16, 16))
+
+    @pytest.mark.parametrize("arch,restricted", [("desk", False), ("reference", True)])
+    def test_path_on_benchmark_shapes(self, bumpy64, arch, restricted, monkeypatch):
+        patchset, ctx = bumpy64
+        cfg = self.DESK if arch == "desk" else REFERENCE_100K
+        params = mo.build_model(cfg, patchset, seed=3)
+        batch = tr.sample_batch(ctx, 2048, seed=0)
+        h, w = cfg.grid_size()
+        halo = ad.TapSites((patchset.n_patches, h, w), batch.pair_patch, batch.pair_uv).halo_fraction
+        assert (halo < 0.3) if restricted else (halo > 0.7)
+        calls = _spy_restricted(monkeypatch)
+        tr.forward_losses(params, batch)
+        assert bool(calls) == restricted
+
+
 class TestEvaluate:
     def test_zero_fine_equals_coarse(self, bumpy16, small_arch):
         mesh, chart, patchset, _ = bumpy16
