@@ -245,8 +245,10 @@ def sigmoid(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None, activation: str = "none") -> Tensor:
-    """activation(x @ W + b) for x of shape (din,) or (N, din); W is (din, dout)."""
-    if x.data.shape[-1] != W.data.shape[0]:
+    """activation(x @ W + b) for x of shape (N, din); W is (din, dout)."""
+    if x.data.ndim != 2:
+        raise ValueError(f"linear expects x of shape (N, din), got {x.data.shape}")
+    if x.data.shape[1] != W.data.shape[0]:
         raise ValueError(f"linear shape mismatch: x {x.data.shape} vs W {W.data.shape}")
     pre = x.data @ W.data
     if b is not None:
@@ -271,15 +273,10 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None, activation: str = "non
         else:
             gp = g
         gx = gp @ W.data.T if x.requires_grad else None
-        if x.data.ndim == 1:
-            gW = np.outer(x.data, gp) if W.requires_grad else None
-            gb = gp
-        else:
-            gW = x.data.T @ gp if W.requires_grad else None
-            gb = gp.sum(axis=0)
+        gW = x.data.T @ gp if W.requires_grad else None
         if b is None:
             return gx, gW
-        return gx, gW, gb
+        return gx, gW, gp.sum(axis=0)
 
     return _emit(out, inputs, bw)
 
@@ -498,6 +495,13 @@ def _bilerp_coords(h: int, w: int, uv: np.ndarray):
     return x0, x1, y0, y1, fx, fy
 
 
+def _bilerp_weights(fx: np.ndarray, fy: np.ndarray, dt) -> tuple[np.ndarray, ...]:
+    """The (M,1) weights of the taps 00, 01, 10, 11 from the bilinear fractions, in dtype dt."""
+    wx = fx[:, None].astype(dt)
+    wy = fy[:, None].astype(dt)
+    return (1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy
+
+
 def grid_sample(grids: Tensor, idx: np.ndarray, uv: np.ndarray) -> Tensor:
     """Bilinear lookups: grids (P,C,H,W), constant row ids idx (M,), constant uv (M,2) -> (M,C).
 
@@ -513,17 +517,11 @@ def grid_sample(grids: Tensor, idx: np.ndarray, uv: np.ndarray) -> Tensor:
     uv = np.asarray(uv, dtype=np.float64)
     out_shape = uv.shape[:-1] + (c,)
     x0, x1, y0, y1, fx, fy = _bilerp_coords(h, w, uv.reshape(-1, 2))
-    dt = g.dtype
-    wx = fx[:, None].astype(dt)
-    wy = fy[:, None].astype(dt)
+    w00, w01, w10, w11 = _bilerp_weights(fx, fy, g.dtype)
     v00 = g[idx, :, y0, x0]
     v01 = g[idx, :, y0, x1]
     v10 = g[idx, :, y1, x0]
     v11 = g[idx, :, y1, x1]
-    w00 = (1 - wx) * (1 - wy)
-    w01 = wx * (1 - wy)
-    w10 = (1 - wx) * wy
-    w11 = wx * wy
     out = _out((v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11).reshape(out_shape), grids)
 
     def bw(gr):
@@ -661,9 +659,7 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     _note_kinks(pre2)
     y = np.maximum(pre2, 0)
 
-    wx = sites.fx[:, None].astype(dt)
-    wy = sites.fy[:, None].astype(dt)
-    weights = ((1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy)
+    weights = _bilerp_weights(sites.fx, sites.fy, dt)
     taps = np.take(map0, sites.taps)  # (4, M) rows of S0
     v = np.take(y, taps, axis=0)
     out_d = v[0] * weights[0] + v[1] * weights[1] + v[2] * weights[2] + v[3] * weights[3]

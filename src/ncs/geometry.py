@@ -59,15 +59,6 @@ class TriMesh:
         return len(self.faces)
 
 
-@dataclass
-class SurfaceSample:
-    """One point on the surface: position = barycentric combination of its face."""
-
-    position: np.ndarray
-    face: int
-    barycentric: np.ndarray
-
-
 def load_mesh(path) -> TriMesh:
     """Parse an ASCII OBJ (v/f lines; polygons fan-triangulated; vt/vn ignored)."""
     verts: list[list[float]] = []
@@ -211,29 +202,27 @@ def vertex_geodesics(mesh: TriMesh, source: int, graph: csr_matrix | None = None
     return _dijkstra(g, directed=False, indices=source, limit=limit)
 
 
+def sample_faces(area_cum: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Area-uniform draw of n surface points as (faces (n,), barycentric (n,3)), given the
+    cumulative face areas; deterministic per seed."""
+    rng = np.random.default_rng(seed)
+    faces = np.searchsorted(area_cum, rng.random(n) * area_cum[-1], side="right")
+    faces = np.minimum(faces, len(area_cum) - 1)
+    r1 = np.sqrt(rng.random(n))
+    r2 = rng.random(n)
+    return faces, np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
+
+
 def sample_surface_arrays(mesh: TriMesh, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Area-uniform surface samples as arrays: (positions (n,3), faces (n,), barycentric (n,3))."""
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    areas = face_areas(mesh)
-    cum = np.cumsum(areas)
-    total = cum[-1]
-    if total <= 0:
+    cum = np.cumsum(face_areas(mesh))
+    if cum[-1] <= 0:
         raise MeshError("mesh has zero total area")
-    faces = np.searchsorted(cum, rng.random(n) * total, side="right")
-    faces = np.minimum(faces, len(areas) - 1)
-    r1 = np.sqrt(rng.random(n))
-    r2 = rng.random(n)
-    bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
+    faces, bary = sample_faces(cum, n, seed)
     pos = np.einsum("nk,nkd->nd", bary, mesh.vertices[mesh.faces[faces]])
     return pos, faces, bary
-
-
-def sample_surface(mesh: TriMesh, n: int, seed: int = 0) -> list[SurfaceSample]:
-    """Area-uniform random samples; deterministic for a fixed seed."""
-    pos, faces, bary = sample_surface_arrays(mesh, n, seed)
-    return [SurfaceSample(pos[i], int(faces[i]), bary[i]) for i in range(n)]
 
 
 def _nn_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:

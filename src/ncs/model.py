@@ -242,17 +242,34 @@ def coarse_jacobian(params: ModelParams, q) -> np.ndarray:
 
 def local_frame(params: ModelParams, q) -> np.ndarray:
     """Orthonormal right-handed frame with columns [normal, tangent-u, bitangent]."""
-    jac = coarse_jacobian(params, q)
-    ju, jv = jac[:, 0], jac[:, 1]
-    n = np.cross(ju, jv)
-    nn = np.linalg.norm(n)
-    if nn < 1e-9:
-        raise FrameDegenerateError(f"degenerate Jacobian at q={np.asarray(q)}")
-    n /= nn
-    t = ju / np.linalg.norm(ju)
-    b = np.cross(n, t)
-    b /= np.linalg.norm(b)
-    return np.stack([n, t, b], axis=1)
+    qt = ad.const(np.asarray(q, dtype=params.dtype()).reshape(1, 2))
+    _, ju, jv = _coarse_apply(params, qt, want_jacobian=True)
+    frame, _ = _frame(ju, jv)
+    return np.stack([f.data[0] for f in frame], axis=1).astype(np.float64)
+
+
+def _frame(ju: ad.Tensor, jv: ad.Tensor, degenerate: str = "raise"):
+    """Taped unit frames ((normal ju x jv, tangent ju, bitangent), each (N,3), fallbacks).
+
+    Rows with a squared normal below _FRAME_EPS2 raise FrameDegenerateError, unless
+    `degenerate` is "fallback" outside a tape: then they reuse the Jacobian of the
+    nearest previous valid row, and `fallbacks` counts them.
+    """
+    nvec = ad.cross3(ju, jv)
+    nn2 = ad.reduce_sum(ad.square(nvec), axis=1, keepdims=True)
+    bad = nn2.data[:, 0] < _FRAME_EPS2
+    if bad.any():
+        if degenerate != "fallback" or ad.recording():
+            raise FrameDegenerateError(f"{int(bad.sum())} degenerate frame(s) in batch", mask=bad)
+        src = _nearest_valid_rows(bad)
+        ju.data[bad] = ju.data[src[bad]]
+        jv.data[bad] = jv.data[src[bad]]
+        return _frame(ju, jv)[0], int(bad.sum())
+    nhat = ad.div(nvec, ad.sqrt(nn2))
+    that = ad.div(ju, ad.sqrt(ad.reduce_sum(ad.square(ju), axis=1, keepdims=True)))
+    bvec = ad.cross3(nhat, that)
+    bhat = ad.div(bvec, ad.sqrt(ad.reduce_sum(ad.square(bvec), axis=1, keepdims=True)))
+    return (nhat, that, bhat), 0
 
 
 def _nearest_valid_rows(bad: np.ndarray) -> np.ndarray:
@@ -295,42 +312,51 @@ def _fine_mlp(params: ModelParams, feats: ad.Tensor) -> ad.Tensor:
     return ad.linear(h, wo, bo)
 
 
-# the last CNN block runs only where the lookups read it while its 3x3 halo (S1) covers
-# at most this share of the decoded pixels; above it the dense decode is faster
+# the last CNN block runs only where the lookups read it when their 3x3 halo (S1) surely
+# covers at most this share of the decoded pixels; above it the dense decode is faster
 _RESTRICT_MAX_HALO = 0.5
 
 
-def _fine_displacement(params: ModelParams, pair_sample, pair_patch, pair_uv, pair_w,
-                       n_samples: int, grids: ad.Tensor | None) -> ad.Tensor:
-    """Per-patch decode/sample/MLP, then weight and sum contributions per sample.
+def _features(params: ModelParams, pair_patch, pair_uv, grids: ad.Tensor | None) -> ad.Tensor:
+    """Decoded feature vector of each (patch, uv) lookup, times `detail_scale`: (M, C).
 
-    Without `grids` (training, `evaluate`, `fine_forward`) blocks 0..B-2 run densely
-    and the last block runs only at the pixels the lookups read and their 3x3 halo
-    (`ad.residual_block_at`) when that halo covers at most half of the decoded
-    pixels, else the whole decode runs densely. With 2,048-sample batches the halo
-    covers 16.5 % on the reference architecture (128x128 grids), which takes the
-    restricted path, and 79-80 % on the desk architecture (32x32 grids), which stays
-    dense; a single point reads a few pixels per patch. Callers that pass decoded
-    `grids` (the CLI's dense evaluation) always sample them densely.
+    Callers that pass decoded `grids` (the CLI's dense evaluation) sample them
+    bilinearly. Without `grids`, blocks 0..B-2 run densely and the last block runs
+    only at the pixels the lookups read and their 3x3 halo (`ad.residual_block_at`)
+    when that halo is sure to cover at most half of the P*H*W decoded pixels: it is at
+    most the 4x4 pixels around each lookup's 2x2 taps, so the rule is 16*M <= P*H*W/2.
+    Otherwise the whole decode runs densely. With 2,048-sample batches (about 3,800
+    lookups) this restricts on the reference architecture (128x128 grids) and stays
+    dense on the desk architecture (32x32 grids); a single point reads a few pixels
+    per patch.
     """
     if grids is None:
-        p, _, h0, w0 = params.codes.shape
-        up = 2 ** len(params.cnn)
-        sites = ad.TapSites((p, h0 * up, w0 * up), pair_patch, pair_uv)
-        if sites.halo_fraction <= _RESTRICT_MAX_HALO:
-            x = _decode(params.codes, params.cnn[:-1])
-            feats = ad.residual_block_at(x, *params.cnn[-1], sites)
+        h, w = params.config.grid_size()
+        if 16 * len(pair_patch) <= _RESTRICT_MAX_HALO * params.n_patches * h * w:
+            sites = ad.TapSites((params.n_patches, h, w), pair_patch, pair_uv)
+            feats = ad.residual_block_at(_decode(params.codes, params.cnn[:-1]), *params.cnn[-1], sites)
         else:
             grids = decode_grids(params)
     if grids is not None:
         feats = ad.grid_sample(grids, pair_patch, pair_uv)
     if params.detail_scale != 1.0:
         feats = ad.scale(feats, params.detail_scale)  # sampling is linear in the grids
-    out = _fine_mlp(params, feats)  # (M, 3)
+    return feats
+
+
+def _blend(rows: ad.Tensor, pair_sample, pair_w, n_samples: int) -> ad.Tensor:
+    """Sum of each sample's rows weighted by their blend weights: (n_samples, D)."""
+    w = ad.const(np.asarray(pair_w, dtype=rows.data.dtype).reshape(-1, 1))
+    return ad.segment_sum(ad.mul(rows, w), pair_sample, n_samples)
+
+
+def _fine_displacement(params: ModelParams, pair_sample, pair_patch, pair_uv, pair_w,
+                       n_samples: int, grids: ad.Tensor | None) -> ad.Tensor:
+    """Per-patch features (`_features`) through the fine MLP, blended per sample."""
+    out = _fine_mlp(params, _features(params, pair_patch, pair_uv, grids))  # (M, 3)
     if params.config.mode == "pca":
         out = ad.rotate_rows(out, params.pca_frames[np.asarray(pair_patch, dtype=np.int64)])
-    w = ad.const(np.asarray(pair_w, dtype=out.data.dtype).reshape(-1, 1))
-    return ad.segment_sum(ad.mul(out, w), pair_sample, n_samples)
+    return _blend(out, pair_sample, pair_w, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +387,10 @@ def evaluate_batch(params: ModelParams, q, pair_sample, pair_patch, pair_uv, pai
         out = ad.add(p, d)
         return (out, p, info) if return_coarse else (out, info)
 
-    nvec = ad.cross3(ju, jv)
-    nn2 = ad.reduce_sum(ad.square(nvec), axis=1, keepdims=True)
-    bad = nn2.data[:, 0] < _FRAME_EPS2
-    if bad.any():
-        if degenerate != "fallback" or ad.recording():
-            raise FrameDegenerateError(f"{int(bad.sum())} degenerate frame(s) in batch", mask=bad)
-        src = _nearest_valid_rows(bad)
-        ju.data[bad] = ju.data[src[bad]]
-        jv.data[bad] = jv.data[src[bad]]
-        info["frame_fallbacks"] = int(bad.sum())
-        nvec = ad.cross3(ju, jv)
-        nn2 = ad.reduce_sum(ad.square(nvec), axis=1, keepdims=True)
-    nhat = ad.div(nvec, ad.sqrt(nn2))
+    (nhat, that, bhat), info["frame_fallbacks"] = _frame(ju, jv, degenerate)
     if mode == "normal":
         disp = ad.mul(nhat, ad.slice_cols(d, 0, 1))
     else:
-        jn = ad.sqrt(ad.reduce_sum(ad.square(ju), axis=1, keepdims=True))
-        that = ad.div(ju, jn)
-        bvec = ad.cross3(nhat, that)
-        bhat = ad.div(bvec, ad.sqrt(ad.reduce_sum(ad.square(bvec), axis=1, keepdims=True)))
         disp = ad.add(ad.add(ad.mul(nhat, ad.slice_cols(d, 0, 1)),
                              ad.mul(that, ad.slice_cols(d, 1, 2))),
                       ad.mul(bhat, ad.slice_cols(d, 2, 3)))
@@ -410,9 +420,9 @@ def evaluate(params: ModelParams, patchset: PatchSet, global_chart: DiskChart, q
 # ---------------------------------------------------------------------------
 
 def scale_details(params: ModelParams, factor: float) -> ModelParams:
-    """A view of the model whose decoded features are scaled by `factor` (the
-    grids, or their bilinear samples: the same up to rounding); factor 1 is the
-    identity, <1 smooths, >1 exaggerates."""
+    """A view of the model whose decoded features are scaled by `factor` (at their
+    bilinear samples in `_features`, the same as scaling the grids up to rounding);
+    factor 1 is the identity, <1 smooths, >1 exaggerates."""
     if factor < 0:
         raise ValueError("detail scale factor must be >= 0")
     view = copy.copy(params)
@@ -422,15 +432,11 @@ def scale_details(params: ModelParams, factor: float) -> ModelParams:
 
 def feature_vectors(params: ModelParams, patchset: PatchSet, global_chart: DiskChart,
                     qs: np.ndarray) -> np.ndarray:
-    """Blended decoded feature vector at each query point (the fine MLP's input)."""
-    grids = decode_grids(params)
-    if params.detail_scale != 1.0:
-        grids = ad.scale(grids, params.detail_scale)
+    """Blended decoded feature vector at each query point (the fine MLP's input), by
+    the fine branch's own feature path (`_features`, `_blend`)."""
     ps, pp, puv, pw = pairs_for_points(patchset, global_chart, qs)
-    feats = ad.grid_sample(grids, pp, puv).data
-    out = np.zeros((len(qs), params.config.cnn_channels))
-    np.add.at(out, ps, feats * pw[:, None])
-    return out
+    feats = _features(params, pp, puv, None)
+    return _blend(feats, ps, pw, len(qs)).data.astype(np.float64)
 
 
 def activation_map(params: ModelParams, patchset: PatchSet, global_chart: DiskChart,

@@ -57,7 +57,6 @@ class DiskChart:
         self._grid = None
         self._bary_inv = None
         self._bary_origin = None
-        self._orig_face_lookup: dict | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -71,9 +70,8 @@ class DiskChart:
         """Local face index for a parent-mesh face id, or None if not in this chart."""
         if self.orig_face_ids is None:
             return int(orig_face_id) if 0 <= orig_face_id < self.n_faces else None
-        if self._orig_face_lookup is None:
-            self._orig_face_lookup = {int(o): i for i, o in enumerate(self.orig_face_ids)}
-        return self._orig_face_lookup.get(int(orig_face_id))
+        hit = np.flatnonzero(self.orig_face_ids == orig_face_id)
+        return int(hit[0]) if len(hit) else None
 
     def signed_areas(self) -> np.ndarray:
         q = self.uv[self.faces]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import FrameDegenerateError, NumericError
-from .geometry import TriMesh, face_areas
+from .geometry import TriMesh, face_areas, sample_faces
 from .model import ModelParams, evaluate_batch
 from .parameterization import DiskChart
 from .patching import PatchSet, face_pairs
@@ -110,28 +110,23 @@ def build_context(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet) ->
     )
 
 
-def sample_batch(ctx: TrainContext, n: int, seed: int) -> TrainBatch:
-    """Fresh area-uniform training batch; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    faces = np.searchsorted(ctx.area_cum, rng.random(n) * ctx.area_cum[-1], side="right")
-    faces = np.minimum(faces, len(ctx.area_cum) - 1)
-    r1 = np.sqrt(rng.random(n))
-    r2 = rng.random(n)
-    bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
+def batch_at(ctx: TrainContext, faces: np.ndarray, bary: np.ndarray) -> TrainBatch:
+    """The batch of the surface points given as (face, barycentric) rows."""
     q64 = np.einsum("nk,nkd->nd", bary, ctx.face_uv[faces])
     t64 = np.einsum("nk,nkd->nd", bary, ctx.face_xyz[faces])
     pair_sample, pair_patch, pair_uv, pair_w = face_pairs(ctx.patchset, faces, bary)
     return TrainBatch(
-        q=q64.astype(np.float32),
-        target=t64.astype(np.float32),
-        face=faces.astype(np.int64),
-        bary=bary,
-        target64=t64,
-        pair_sample=pair_sample,
-        pair_patch=pair_patch,
-        pair_uv=pair_uv.astype(np.float32),
-        pair_w=pair_w.astype(np.float32),
+        q=q64.astype(np.float32), target=t64.astype(np.float32),
+        face=np.asarray(faces, dtype=np.int64), bary=bary, target64=t64,
+        pair_sample=pair_sample, pair_patch=pair_patch,
+        pair_uv=pair_uv.astype(np.float32), pair_w=pair_w.astype(np.float32),
     )
+
+
+def sample_batch(ctx: TrainContext, n: int, seed: int) -> TrainBatch:
+    """Fresh area-uniform training batch; deterministic per seed, and the same points
+    as `geometry.sample_surface_arrays(ctx.mesh, n, seed)`."""
+    return batch_at(ctx, *sample_faces(ctx.area_cum, n, seed))
 
 
 def vertex_batch(ctx: TrainContext) -> TrainBatch:
@@ -146,15 +141,7 @@ def vertex_batch(ctx: TrainContext) -> TrainBatch:
     corner[vids] = 2 - pos % 3
     bary = np.zeros((nv, 3))
     bary[np.arange(nv), corner] = 1.0
-    q64 = np.einsum("nk,nkd->nd", bary, ctx.face_uv[faces])
-    t64 = np.einsum("nk,nkd->nd", bary, ctx.face_xyz[faces])
-    pair_sample, pair_patch, pair_uv, pair_w = face_pairs(ctx.patchset, faces, bary)
-    return TrainBatch(
-        q=q64.astype(np.float32), target=t64.astype(np.float32),
-        face=faces, bary=bary, target64=t64,
-        pair_sample=pair_sample, pair_patch=pair_patch,
-        pair_uv=pair_uv.astype(np.float32), pair_w=pair_w.astype(np.float32),
-    )
+    return batch_at(ctx, faces, bary)
 
 
 def _filter_batch(batch: TrainBatch, keep: np.ndarray) -> TrainBatch:

@@ -209,15 +209,9 @@ def test_criterion_3_frames(desk_fit):
     qt = ad.const(qs.astype(np.float32))
     # the production frame path: float32 throughout, measured in float64
     _, ju, jv = mo._coarse_apply(params, qt, want_jacobian=True)
-    ju, jv = ju.data, jv.data
-    n = np.cross(ju, jv)
-    nn = np.linalg.norm(n, axis=1, keepdims=True).astype(np.float32)
-    assert (nn > 1e-9).all()
-    nhat = n / nn
-    that = ju / np.linalg.norm(ju, axis=1, keepdims=True).astype(np.float32)
-    bvec = np.cross(nhat, that)
-    bhat = bvec / np.linalg.norm(bvec, axis=1, keepdims=True).astype(np.float32)
-    frames = np.stack([nhat, that, bhat], axis=2).astype(np.float64)
+    assert (np.linalg.norm(np.cross(ju.data, jv.data), axis=1) > 1e-9).all()
+    frame, _ = mo._frame(ju, jv)
+    frames = np.stack([f.data for f in frame], axis=2).astype(np.float64)
     gram = np.einsum("nij,nik->njk", frames, frames)
     err = np.abs(gram - np.eye(3)).max()
     dets = np.linalg.det(frames)

@@ -23,6 +23,12 @@ class TestPointwise:
         out = ad.linear(x, w)
         assert np.array_equal(out.data, x.data)
 
+    def test_linear_rejects_non_batched_input(self):
+        w = ad.const(np.eye(3, dtype=np.float32))
+        for shape in [(3,), (2, 4, 3)]:
+            with pytest.raises(ValueError, match="shape"):
+                ad.linear(ad.const(np.ones(shape, dtype=np.float32)), w)
+
     def test_softplus_at_zero(self):
         out = ad.softplus(ad.const(np.zeros(1, dtype=np.float32)))
         assert out.data[0] == pytest.approx(np.log(2), abs=1e-6)
@@ -348,6 +354,16 @@ class TestResidualBlockAt:
         assert np.count_nonzero(sites.s1) == 9 and sites.s1[0, 1:4, 1:4].all()
         assert sites.halo_fraction == 9 / 24
         assert not sites.s0[:, 0].any() and not sites.s1[:, :, 0].any()  # padding stays unset
+
+    @pytest.mark.parametrize("case", ["random", "borders", "clamped", "same_pixel"])
+    @pytest.mark.parametrize("p,h,w", [(3, 6, 8), (2, 2, 2), (1, 16, 16)])
+    def test_halo_at_most_16_per_lookup(self, case, p, h, w):
+        # the restrict rule's bound: a lookup's S1 is within the 4x4 pixels around its taps
+        r = np.random.default_rng(h * w + p)
+        for m in (1, 5, 40):
+            idx, uv = self._lookups(case, p, h, w, r)
+            sites = ad.TapSites((p, h, w), idx[:m], uv[:m])
+            assert np.count_nonzero(sites.s1) <= 16 * m
 
     def test_rejects_mismatched_sites(self):
         x = ad.param(np.zeros((2, 2, 3, 3), dtype=np.float32))

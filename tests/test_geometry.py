@@ -7,7 +7,7 @@ from scipy.stats import chi2
 from ncs import synth
 from ncs.errors import MeshError
 from ncs.geometry import (TriMesh, chamfer_distance, edge_graph, export_mesh, face_areas,
-                          load_mesh, normalize_unit_sphere, sample_surface,
+                          load_mesh, normalize_unit_sphere,
                           sample_surface_arrays, vertex_geodesics)
 
 
@@ -113,10 +113,10 @@ class TestGeodesics:
 class TestSampling:
     def test_single_triangle_inside(self):
         m = TriMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]), np.array([[0, 1, 2]]))
-        s = sample_surface(m, 1, seed=0)[0]
-        assert s.face == 0
-        assert (s.barycentric >= 0).all() and s.barycentric.sum() == pytest.approx(1.0)
-        np.testing.assert_allclose(s.position, s.barycentric @ m.vertices, atol=1e-12)
+        pos, faces, bary = sample_surface_arrays(m, 1, seed=0)
+        assert faces[0] == 0
+        assert (bary[0] >= 0).all() and bary[0].sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(pos[0], bary[0] @ m.vertices, atol=1e-12)
 
     def test_area_weighting_binomial(self):
         v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0], [-1, 0, 0], [0, -6, 0]])

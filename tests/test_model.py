@@ -160,6 +160,22 @@ class TestFrames:
             # because x @ (W R) = (x @ W) R applies R on the right of row vectors
             np.testing.assert_allclose(fb, r.T @ fa, atol=2e-4)
 
+    def test_frame_fallback_reuses_previous_valid_row(self):
+        rng = np.random.default_rng(4)
+        ju, jv = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        ju[[0, 3]] = 0.0  # degenerate rows: the first has no previous valid row
+        frame, fallbacks = mo._frame(ad.const(ju.copy()), ad.const(jv.copy()), "fallback")
+        assert fallbacks == 2
+        for f in frame:
+            assert np.array_equal(f.data[0], f.data[1]) and np.array_equal(f.data[3], f.data[2])
+        want, _ = mo._frame(ad.const(ju[[1, 1, 2, 2, 4]]), ad.const(jv[[1, 1, 2, 2, 4]]))
+        for f, w in zip(frame, want):
+            assert np.array_equal(f.data, w.data)
+        for policy in ("raise", "fallback"):
+            with pytest.raises(FrameDegenerateError) as e, ad.Tape():
+                mo._frame(ad.const(ju), ad.const(jv), policy)
+            assert e.value.mask.tolist() == [True, False, False, True, False]
+
     def test_degenerate_error(self):
         params = identity_embedding_params()
         params.coarse[0][0].data[:] = 0  # constant map: rank-0 Jacobian

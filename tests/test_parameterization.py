@@ -229,6 +229,12 @@ class TestGlobalToLocal:
             lifted = chart_lift(patch.chart, cp)
             np.testing.assert_allclose(lifted, mesh.vertices[vid], atol=1e-9)
 
+    def test_face_of_orig(self, setup):
+        mesh, _, patch = setup
+        ids = patch.chart.orig_face_ids
+        assert [patch.chart.face_of_orig(o) for o in ids] == list(range(len(ids)))
+        assert patch.chart.face_of_orig(mesh.n_faces) is None
+
     def test_centroid_of_shared_triangle(self, setup):
         mesh, chart, patch = setup
         orig_f = int(patch.chart.orig_face_ids[0])

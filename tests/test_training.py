@@ -9,7 +9,7 @@ from conftest import manual_patchset
 from ncs import autodiff as ad, synth
 from ncs import model as mo
 from ncs import training as tr
-from ncs.geometry import TriMesh, normalize_unit_sphere
+from ncs.geometry import TriMesh, normalize_unit_sphere, sample_surface_arrays
 from ncs.parameterization import embed_disk
 
 
@@ -85,6 +85,12 @@ class TestSampleBatch:
         assert (b.bary[0] >= 0).all()
         loc = chart.locate(b.q[0].astype(np.float64))
         assert loc is not None
+
+    def test_same_points_as_sample_surface_arrays(self, tiny_setup):
+        mesh, _, _, ctx, _ = tiny_setup
+        b = tr.sample_batch(ctx, 300, seed=7)
+        _, faces, bary = sample_surface_arrays(mesh, 300, 7)
+        assert np.array_equal(b.face, faces) and np.array_equal(b.bary, bary)
 
     def test_target_matches_lift_exactly(self, tiny_setup):
         mesh, chart, patchset, ctx, _ = tiny_setup
