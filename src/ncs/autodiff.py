@@ -17,8 +17,10 @@ one BLAS matmul each, in both passes, so no full im2col matrix is ever built.
 
 `residual_block_at` follows the active-site idea of submanifold sparse
 convolution (Graham & van der Maaten 2017): activations are position-major rows,
-one per pixel that the lookups need, and each convolution is one row gather plus
-one GEMM, in the backward pass too.
+one per pixel that the lookups need, and each convolution is row gathers plus
+GEMMs, in the backward pass too. Its conv1 reads the low-res input through one
+phase kernel: nearest 2x upsampling then a 3x3 conv is, per output parity, a 2x2
+conv of the low-res input (the sub-pixel form of Shi et al. 2016).
 """
 
 from __future__ import annotations
@@ -591,17 +593,23 @@ class TapSites:
         return np.count_nonzero(self.s1) / (p * h * w)
 
 
-def _row_map(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sites, map): the flat ids of a mask's set pixels in order, and for every pixel
-    its row among them, or len(sites), the zero row appended after them, if unset."""
-    sites = np.flatnonzero(mask)
-    rows = np.full(mask.size, len(sites), dtype=np.intp)
+def _row_map(sites: np.ndarray, size: int) -> np.ndarray:
+    """For each of `size` flat pixels its row in `sites`, or len(sites), the zero row
+    `_gather` appends, if it is not a site."""
+    rows = np.full(size, len(sites), dtype=np.intp)
     rows[sites] = np.arange(len(sites))
-    return sites, rows
+    return rows
 
 
-def _with_zero_row(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a, np.zeros((1, a.shape[1]), dtype=a.dtype)])
+def _gather(a: np.ndarray, row_map: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The rows of `a` at the pixels `ids` (any shape) through `row_map`; others read zero."""
+    return np.take(np.concatenate([a, np.zeros((1, a.shape[1]), dtype=a.dtype)]),
+                   np.take(row_map, ids), axis=0)
+
+
+# per axis, the kernel taps i whose shift i-1 reads low-res pixel q from high-res pixel
+# p = 2q + d, d = -1..2, through the nearest 2x upsample: d + i - 1 must be 0 or 1
+_PHASE_TAPS = np.array([[0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0]])
 
 
 def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
@@ -610,12 +618,15 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     for the lookups of `sites`, computing the block only where the lookups read it.
 
     x is (P,C,h,w) and `sites` is built for (P, 2h, 2w). conv2 runs at the tap pixels
-    S0 and conv1 at S1, their 3x3 dilation; the upsampled input is read from x by
-    index. Each convolution is a gather of position-major rows, (sites, 9*C) columns
-    with zero rows for the padding and the unset pixels, and one GEMM; the backward
-    passes are gathers and GEMMs too, and the one scatter adds the four taps' gradients
-    onto the S0 rows. Sums run in another order than the dense block's, so the two agree
-    to float rounding; pixels the lookups do not read get exactly zero gradient.
+    S0 and conv1 at S1, their 3x3 dilation. conv1 reads x through the phase kernel K4,
+    k1's taps summed per displacement between high-res and low-res pixel (`_PHASE_TAPS`):
+    the S1 rows come in four parity blocks, each one gather of 2x2 low-res rows and one
+    GEMM with its 2x2 slice of K4. conv2 gathers (S0, 9*C) columns of position-major rows,
+    zero for the padding and the unset pixels, for one GEMM. The backward passes are
+    gathers and GEMMs too, K4's gradient is folded back to k1 once, and the one scatter
+    adds the four taps' gradients onto the S0 rows. Sums run in another order than the
+    dense block's, so the two agree to float rounding; pixels the lookups do not read get
+    exactly zero gradient.
     """
     p, c, h, w = x.data.shape
     if k1.data.shape != (c, c, 3, 3) or k2.data.shape != (c, c, 3, 3):
@@ -625,37 +636,42 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     dt = np.result_type(x.data, k1.data, b1.data, k2.data, b2.data)
     wp = 2 * w + 2  # row length of the padded high-res frame
     offs = np.array([(i - 1) * wp + (j - 1) for i in range(3) for j in range(3)])  # tap t = 3i+j
-    s0, map0 = _row_map(sites.s0)
-    s1, map1 = _row_map(sites.s1)
+    s0, s1 = np.flatnonzero(sites.s0), np.flatnonzero(sites.s1)
+    # S1 in blocks by parity class e = 2*(row % 2) + column % 2 (wp and the frame height
+    # are even, so these are the parities of id // wp and id); block e's phase window
+    # lies at displacements 2 + parity and parity of K4 along each axis
+    cls = (2 * (s1 // wp % 2) + s1 % 2).astype(np.int8)
+    order = np.argsort(cls, kind="stable")
+    s1, bounds = s1[order], np.searchsorted(cls[order], np.arange(5))
+    blocks = [(slice(bounds[e], bounds[e + 1]), np.s_[2 + e // 2::-2, 2 + e % 2::-2]) for e in range(4)]
+    map0, map1 = _row_map(s0, sites.s0.size), _row_map(s1, sites.s1.size)
     n0, n1 = len(s0), len(s1)
 
-    # x as rows of a low-res frame padded like the high-res one: high-res pixel (r, c),
-    # padding included, reads low-res row (r//2, c//2) of the padded (h+2, w+2) frame
+    # x as rows of a low-res frame padded like the high-res one
     xz = np.zeros((p, h + 2, w + 2, c), dtype=dt)
     xz[:, 1:-1, 1:-1] = x.data.transpose(0, 2, 3, 1)
     xrows = xz.reshape(-1, c)
 
-    def low_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Low-res padded row of each padded high-res flat id (the upsample by index),
-        and the id's parity class 2*(row % 2) + (column % 2)."""
+    def low_rows(ids: np.ndarray, lift: int) -> np.ndarray:
+        """Low-res padded row ((row + lift)//2, (col + lift)//2) of each padded high-res
+        id: lift 1 gives the pixel the upsample copies, lift 0 its phase window."""
         img, rc = np.divmod(ids, (2 * h + 2) * wp)
         r, col = np.divmod(rc, wp)
-        return (img * (h + 2) + (r + 1) // 2) * (w + 2) + (col + 1) // 2, 2 * (r % 2) + col % 2
+        return (img * (h + 2) + (r + lift) // 2) * (w + 2) + (col + lift) // 2
 
-    # low-res row shift of high-res tap shift d = -1..1 from a row of parity 0 or 1
-    par = np.arange(2)[:, None]
-    shift = (par + np.arange(-1, 2) + 1) // 2 - (par + 1) // 2
-    tap_rows = (shift[:, None, :, None] * (w + 2) + shift[None, :, None, :]).reshape(4, 9)
-    kmat = lambda k: k.data.transpose(2, 3, 1, 0).reshape(9 * c, c).astype(dt, copy=False)
-    # conv1 at S1, reading upsample2x(x) at the 3x3 neighbours of each S1 pixel
-    lo1, par1 = low_rows(s1)
-    col1 = np.take(xrows, lo1[:, None] + np.take(tap_rows, par1, axis=0), axis=0).reshape(n1, 9 * c)
-    pre1 = col1 @ kmat(k1) + b1.data
+    ph = _PHASE_TAPS.astype(dt)
+    k4 = (ph @ k1.data.astype(dt, copy=False) @ ph.T).transpose(2, 3, 1, 0)  # (4, 4, Cin, Cout)
+    # conv1 at S1: each pixel reads the 2x2 low-res pixels of its phase window
+    col1 = np.take(xrows, low_rows(s1, 0)[:, None] + [0, 1, w + 2, w + 3], axis=0).reshape(n1, 4 * c)
+    pre1 = np.empty((n1, c), dtype=dt)
+    for rows, kb in blocks:
+        pre1[rows] = col1[rows] @ k4[kb].reshape(4 * c, c)
+    pre1 += b1.data
     _note_kinks(pre1)
     # conv2 at S0, reading relu(conv1) from the S1 rows; the residual input is up(x) at S0
-    col2 = np.take(_with_zero_row(np.maximum(pre1, 0)), np.take(map1, s0[:, None] + offs), axis=0)
-    col2 = col2.reshape(n0, 9 * c)
-    pre2 = np.take(xrows, low_rows(s0)[0], axis=0) + (col2 @ kmat(k2) + b2.data)
+    col2 = _gather(np.maximum(pre1, 0), map1, s0[:, None] + offs).reshape(n0, 9 * c)
+    k2m = k2.data.transpose(2, 3, 1, 0).reshape(9 * c, c).astype(dt, copy=False)
+    pre2 = np.take(xrows, low_rows(s0, 1), axis=0) + (col2 @ k2m + b2.data)
     _note_kinks(pre2)
     y = np.maximum(pre2, 0)
 
@@ -672,34 +688,32 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
                   np.stack([g * wk for wk in weights]).reshape(-1))
         gpre2 = gy.reshape(n0, c) * (pre2 > 0)
         # conv2 backward: S1 pixel s takes tap t's gradient from S0 pixel s - off_t
-        gcol = np.take(_with_zero_row(gpre2), np.take(map0, s1[:, None] - offs), axis=0)
+        gcol = _gather(gpre2, map0, s1[:, None] - offs).reshape(n1, 9 * c)
         k2t = k2.data.transpose(2, 3, 0, 1).reshape(9 * c, c).astype(dt, copy=False)
-        gpre1 = (gcol.reshape(n1, 9 * c) @ k2t) * (pre1 > 0)
-        gk = lambda col, gpre: np.ascontiguousarray(
-            (col.T @ gpre).reshape(3, 3, c, c).transpose(3, 2, 0, 1))
-        gx = None
+        gpre1 = (gcol @ k2t) * (pre1 > 0)
+        gk1 = gk2 = gx = None
+        if k1.requires_grad:  # per parity block into K4's gradient, then folded back once
+            gk4 = np.empty((4, 4, c, c), dtype=dt)
+            for rows, kb in blocks:
+                gk4[kb] = (col1[rows].T @ gpre1[rows]).reshape(2, 2, c, c)
+            gk1 = ph.T @ gk4.transpose(3, 2, 0, 1) @ ph
+        if k2.requires_grad:
+            gk2 = np.ascontiguousarray((col2.T @ gpre2).reshape(3, 3, c, c).transpose(3, 2, 0, 1))
         if x.requires_grad:
-            gx = _residual_block_at_gx(gpre1, gpre2, map0, map1, sites, k1.data.astype(dt, copy=False))
-        return (gx, gk(col1, gpre1) if k1.requires_grad else None, gpre1.sum(axis=0),
-                gk(col2, gpre2) if k2.requires_grad else None, gpre2.sum(axis=0))
+            gx = _residual_block_at_gx(gpre1, gpre2, map0, map1, sites, k4)
+        return gx, gk1, gpre1.sum(axis=0), gk2, gpre2.sum(axis=0)
 
     return _emit(out, (x, k1, b1, k2, b2), bw)
 
 
-# per axis, the kernel taps i whose shift i-1 carries a high-res gradient at displacement
-# d = -1..2 from pixel 2q onto low-res pixel q: d + i - 1 must be 0 or 1
-_PHASE_TAPS = np.array([[0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0]])
-
-
-def _residual_block_at_gx(gpre1, gpre2, map0, map1, sites: TapSites, k1: np.ndarray) -> np.ndarray:
+def _residual_block_at_gx(gpre1, gpre2, map0, map1, sites: TapSites, k4: np.ndarray) -> np.ndarray:
     """Gradient of `residual_block_at` with respect to its low-res input x (P,C,h,w).
 
-    Low-res pixel q collects conv1's input gradient over its four upsampled copies
-    2q + phase. Each copy takes tap t from S1 pixel 2q + phase - off_t, so q reads the
-    4x4 high-res window 2q + d, d = -1..2, through the taps summed per displacement
-    (`_PHASE_TAPS`): one gather of 16 S1 rows and one GEMM per low-res pixel, plus
-    the residual gradient of its four copies from S0. Only low-res pixels whose window
-    meets S1 are computed; the rest are zero.
+    Low-res pixel q collects conv1's input gradient from the S1 pixels of the 4x4
+    high-res window 2q + d, d = -1..2, through the phase kernel k4 (4, 4, Cin, Cout):
+    one gather of 16 S1 rows and one GEMM per low-res pixel, plus the residual gradient
+    of its four upsampled copies from S0. Only low-res pixels whose window meets S1 are
+    computed; the rest are zero.
     """
     p, hp, wp = sites.s1.shape
     h, w = (hp - 2) // 2, (wp - 2) // 2
@@ -714,11 +728,9 @@ def _residual_block_at_gx(gpre1, gpre2, map0, map1, sites: TapSites, k1: np.ndar
     base = (img * hp + 2 * a + 1) * wp + 2 * b + 1  # padded high-res id of 2q
     d = np.arange(-1, 3)
     disp = (d[:, None] * wp + d[None, :]).reshape(-1)
-    taps = _PHASE_TAPS.astype(k1.dtype)
-    kd = (taps @ k1 @ taps.T).transpose(2, 3, 0, 1).reshape(16 * c, c)  # (4, 4, Cout, Cin)
-    col = np.take(_with_zero_row(gpre1), np.take(map1, base[:, None] + disp), axis=0)
-    gq = col.reshape(len(live), 16 * c) @ kd
-    res = np.take(_with_zero_row(gpre2), np.take(map0, base[:, None] + disp[[5, 6, 9, 10]]), axis=0)
+    kd = k4.transpose(0, 1, 3, 2).reshape(16 * c, c)  # (4, 4, Cout, Cin)
+    gq = _gather(gpre1, map1, base[:, None] + disp).reshape(len(live), 16 * c) @ kd
+    res = _gather(gpre2, map0, base[:, None] + disp[[5, 6, 9, 10]])
     gq += (res[:, 0] + res[:, 1]) + (res[:, 2] + res[:, 3])
     gx = np.zeros((p * h * w, c), dtype=gpre1.dtype)
     gx[live] = gq

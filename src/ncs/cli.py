@@ -27,7 +27,7 @@ from .errors import (AlignmentError, CheckpointError, ConfigError, CoverageError
                      FrameDegenerateError, MeshError, NumericError, OutOfChartError,
                      TopologyError)
 from .geometry import TriMesh, chamfer_distance, export_mesh, load_mesh, normalize_unit_sphere, sample_surface_arrays
-from .model import ModelParams, build_model, evaluate_batch, scale_details, transfer_details
+from .model import ModelParams, build_model, decode_grids, evaluate_batch, scale_details, transfer_details
 from .parameterization import embed_disk
 from .patching import extract_patches, face_pairs, patch_rows
 from .training import build_context, fit, vertex_batch
@@ -83,8 +83,6 @@ def _restore(path):
 
 def _eval_positions(params, q, pair_sample, pair_patch, pair_uv, pair_w, coarse_only=False):
     """Model positions for prepared query arrays, chunked over NCS_WORKERS threads."""
-    from .model import decode_grids
-
     n = len(q)
     # pair rows grouped by sample id are contiguous, so chunking by sample is safe
     starts = list(range(0, n, _EVAL_CHUNK))

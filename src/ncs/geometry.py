@@ -15,7 +15,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import MeshError
 
@@ -23,9 +22,6 @@ log = logging.getLogger(__name__)
 
 # faces with less 3D area than this are dropped on load
 _DEGENERATE_AREA = 1e-14
-
-# below this many points, nearest neighbors are brute-forced instead of KD-tree'd
-_BRUTE_FORCE_LIMIT = 2000
 
 
 @dataclass
@@ -227,8 +223,6 @@ def sample_surface_arrays(mesh: TriMesh, n: int, seed: int) -> tuple[np.ndarray,
 
 def _nn_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distance from each row of a to its nearest row of b."""
-    if len(a) < _BRUTE_FORCE_LIMIT and len(b) < _BRUTE_FORCE_LIMIT:
-        return cdist(a, b, "sqeuclidean").min(axis=1)
     d, _ = cKDTree(b).query(a, workers=1)
     return d * d
 

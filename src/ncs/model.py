@@ -262,9 +262,7 @@ def _frame(ju: ad.Tensor, jv: ad.Tensor, degenerate: str = "raise"):
         if degenerate != "fallback" or ad.recording():
             raise FrameDegenerateError(f"{int(bad.sum())} degenerate frame(s) in batch", mask=bad)
         src = _nearest_valid_rows(bad)
-        ju.data[bad] = ju.data[src[bad]]
-        jv.data[bad] = jv.data[src[bad]]
-        return _frame(ju, jv)[0], int(bad.sum())
+        return _frame(ad.const(ju.data[src]), ad.const(jv.data[src]))[0], int(bad.sum())
     nhat = ad.div(nvec, ad.sqrt(nn2))
     that = ad.div(ju, ad.sqrt(ad.reduce_sum(ad.square(ju), axis=1, keepdims=True)))
     bvec = ad.cross3(nhat, that)

@@ -34,7 +34,7 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import CoverageError, MeshError, OutOfChartError, TopologyError
 from .geometry import TriMesh, edge_graph, mesh_edges, mesh_extent
-from .parameterization import DiskChart, embed_disk
+from .parameterization import DiskChart, chart_distortion, embed_disk
 
 _MAX_SHRINKS = 3
 
@@ -387,8 +387,6 @@ def blend_weights(patchset: PatchSet, global_chart: DiskChart, q) -> list[tuple[
 
 def patch_rows(patchset: PatchSet) -> list[dict]:
     """Per-patch diagnostic rows for the patches CSV."""
-    from .parameterization import chart_distortion
-
     cover_counts = np.array([len(c) for c in patchset.vertex_cover])
     rows = []
     for p in patchset.patches:

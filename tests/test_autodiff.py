@@ -319,7 +319,10 @@ class TestResidualBlockAt:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case,shape", [("borders", (3, 4, 5, 6)), ("clamped", (3, 4, 5, 6)),
                                             ("one_image", (1, 3, 4, 4)), ("same_pixel", (2, 2, 6, 5)),
-                                            ("reference_like", (4, 8, 16, 16))])
+                                            ("reference_like", (4, 8, 16, 16)),
+                                            # thin images: both parities of a phase window read padding
+                                            ("one_row", (2, 2, 1, 3)), ("one_pixel", (1, 2, 1, 1)),
+                                            ("one_column", (3, 2, 3, 1))])
     def test_matches_dense(self, case, shape, dtype):
         r = np.random.default_rng(len(case))
         p, c, h, w = shape

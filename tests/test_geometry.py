@@ -171,7 +171,7 @@ class TestChamfer:
 
     def test_kdtree_matches_bruteforce(self):
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(2500, 3))  # above the brute-force limit
+        a = rng.normal(size=(2500, 3))
         b = rng.normal(size=(120, 3))
         from ncs.geometry import _nn_squared
         from scipy.spatial.distance import cdist

@@ -164,8 +164,10 @@ class TestFrames:
         rng = np.random.default_rng(4)
         ju, jv = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         ju[[0, 3]] = 0.0  # degenerate rows: the first has no previous valid row
-        frame, fallbacks = mo._frame(ad.const(ju.copy()), ad.const(jv.copy()), "fallback")
+        ju0, jv0 = ju.copy(), jv.copy()
+        frame, fallbacks = mo._frame(ad.const(ju), ad.const(jv), "fallback")
         assert fallbacks == 2
+        assert np.array_equal(ju, ju0) and np.array_equal(jv, jv0)  # the caller's arrays are untouched
         for f in frame:
             assert np.array_equal(f.data[0], f.data[1]) and np.array_equal(f.data[3], f.data[2])
         want, _ = mo._frame(ad.const(ju[[1, 1, 2, 2, 4]]), ad.const(jv[[1, 1, 2, 2, 4]]))
