@@ -9,7 +9,9 @@ distance into A. Reported numbers elsewhere multiply this by 1e3.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -22,6 +24,8 @@ log = logging.getLogger(__name__)
 
 # faces with less 3D area than this are dropped on load
 _DEGENERATE_AREA = 1e-14
+# rows per formatted block in export_mesh: a few MB of text at a time
+_EXPORT_CHUNK_ROWS = 65536
 
 
 @dataclass
@@ -56,47 +60,61 @@ class TriMesh:
 
 
 def load_mesh(path) -> TriMesh:
-    """Parse an ASCII OBJ (v/f lines; polygons fan-triangulated; vt/vn ignored)."""
-    verts: list[list[float]] = []
-    tris: list[tuple[int, int, int]] = []
-    tri_lines: list[int] = []
+    """Parse an ASCII OBJ (v/f lines; polygons fan-triangulated; other records ignored).
+
+    The whole file is split into tokens at once and read as arrays; each kind of
+    number is converted in one batch, which follows Python's `float` and `int`.
+    Only a batch that fails is read again token by token, to name the first bad one.
+    """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise MeshError(f"{path}:{ln}: vertex line needs 3 coordinates")
-                try:
-                    verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-                except ValueError as e:
-                    raise MeshError(f"{path}:{ln}: bad vertex coordinate: {e}") from None
-            elif tag == "f":
-                idx = []
-                for tok in parts[1:]:
-                    head = tok.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError:
-                        raise MeshError(f"{path}:{ln}: bad face index '{tok}'") from None
-                    # OBJ: negative indices count back from the vertices seen so far
-                    idx.append(len(verts) + i if i < 0 else i - 1)
-                if len(idx) < 3:
-                    raise MeshError(f"{path}:{ln}: face needs at least 3 vertices")
-                for k in range(1, len(idx) - 1):
-                    tris.append((idx[0], idx[k], idx[k + 1]))
-                    tri_lines.append(ln)
-            # every other tag (vt, vn, usemtl, o, g, s, ...) is ignored
-    if not verts or not tris:
+        text = fh.read()
+    # every "\n" becomes a token of its own: the first non-space character the text
+    # lacks, from \x01 on (NumPy would read "\x00" as ""). Text mode has already
+    # folded \r\n and \r into \n, so lines count as `for line in file` counts them
+    # (splitlines() would also break at \x0b, \x0c, \x85, ...)
+    mark = next(c for c in map(chr, range(1, 0x110000)) if not c.isspace() and c not in text)
+    tok = np.array(text.replace("\n", f" {mark} ").split(), dtype=object)
+    brk = tok == mark
+    start = np.flatnonzero(~brk & np.concatenate([[True], brk[:-1]]))  # non-blank lines
+    ends = np.flatnonzero(brk)
+    n_brk = np.searchsorted(ends, start)  # line breaks before each line
+    count = np.append(ends, len(tok))[n_brk] - start
+    line_no = n_brk + 1
+    tag = tok[start]  # comments and every other tag (vt, vn, usemtl, o, g, s, ...) fall through
+    is_v, is_f = tag == "v", tag == "f"
+    errors = []  # (line, rank, message): on one line, a bad token (rank 0) is named first
+    short = np.flatnonzero((is_v | is_f) & (count < 4))
+    if len(short):  # nothing after the first short line is read
+        last = short[0]
+        errors.append((line_no[last], 1, "vertex line needs 3 coordinates" if is_v[last]
+                       else "face needs at least 3 vertices"))
+        is_v[last:], is_f[last + 1:] = False, False
+    n_idx = count[is_f] - 1  # vertex tokens per `f` line
+    toks = tok[_ranges(start[is_f] + 1, n_idx)]
+    heads = np.array([t.partition("/")[0] for t in toks], dtype=object) if "/" in text else toks
+    xyz, bad_xyz = _parse_tokens(tok[(start[is_v][:, None] + np.arange(1, 4)).ravel()], np.float64)
+    idx, bad_idx = _parse_tokens(heads, np.int64)
+    if bad_xyz:
+        errors.append((line_no[is_v][bad_xyz[0] // 3], 0, f"bad vertex coordinate: {bad_xyz[1]}"))
+    if bad_idx:
+        line = np.searchsorted(np.cumsum(n_idx), bad_idx[0], side="right")
+        errors.append((line_no[is_f][line], 0, f"bad face index '{toks[bad_idx[0]]}'"))
+    if errors:
+        ln, _, msg = min(errors)
+        raise MeshError(f"{path}:{ln}: {msg}")
+    if not is_v.any() or not is_f.any():
         raise MeshError(f"{path}: empty mesh (no vertices or no faces)")
-    v = np.asarray(verts, dtype=np.float64)
-    f = np.asarray(tris, dtype=np.int64)
+
+    v = xyz.reshape(-1, 3)
+    # OBJ: negative indices count back from the vertices seen so far
+    idx = np.where(idx < 0, np.repeat(np.cumsum(is_v)[is_f], n_idx) + idx, idx - 1)
+    # fan rule: the triangles of a face line are its tokens (0, j, j + 1), j >= 1
+    first, n_tri = np.cumsum(n_idx) - n_idx, n_idx - 2
+    f = np.stack([np.repeat(idx[first], n_tri), idx[_ranges(first + 1, n_tri)],
+                  idx[_ranges(first + 2, n_tri)]], axis=1)
     bad = (f < 0) | (f >= len(v))
     if bad.any():
-        ln = tri_lines[int(np.flatnonzero(bad.any(axis=1))[0])]
+        ln = np.repeat(line_no[is_f], n_tri)[np.flatnonzero(bad.any(axis=1))[0]]
         raise MeshError(f"{path}:{ln}: face index out of range (have {len(v)} vertices)")
 
     areas = _areas_of(v, f)
@@ -113,18 +131,50 @@ def load_mesh(path) -> TriMesh:
     return mesh
 
 
+def _ranges(first: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The ranges first[i], ..., first[i] + n[i] - 1, concatenated."""
+    off = np.repeat(first - np.cumsum(n) + n, n)
+    return off + np.arange(len(off))
+
+
+def _parse_tokens(tokens: np.ndarray, dtype) -> tuple[np.ndarray | None, tuple[int, ValueError] | None]:
+    """(array, None), or (None, (position, error)) for the first token Python rejects."""
+    try:
+        return tokens.astype(dtype), None
+    except (ValueError, OverflowError):
+        pass
+    convert = float if dtype == np.float64 else int
+    values = []
+    for k, tok in enumerate(tokens):
+        try:
+            values.append(convert(tok))
+        except ValueError as e:
+            return None, (k, e)
+    # only integers beyond int64 are left; clipped, they are still out of range
+    limit = 1 << 62
+    return np.array([min(max(x, -limit), limit) for x in values], dtype=dtype), None
+
+
 def export_mesh(mesh: TriMesh, path) -> None:
-    """Write an ASCII OBJ; vertex order is preserved so round trips are stable."""
+    """Write an ASCII OBJ; vertex order is preserved so round trips are stable.
+
+    Rows are formatted a chunk at a time by one %-format each. The file is written
+    beside `path` and renamed into place, so a failed export leaves no partial file.
+    """
     if mesh.n_vertices == 0 or mesh.n_faces == 0:
         raise MeshError("refusing to export an empty mesh")
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.12g} {y:.12g} {z:.12g}")
-    for a, b, c in mesh.faces:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    records = (("v %.12g %.12g %.12g\n", mesh.vertices),
+               ("f %d %d %d\n", mesh.faces.astype(np.int64) + 1))
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for fmt, rows in records:
+                for s in range(0, len(rows), _EXPORT_CHUNK_ROWS):
+                    chunk = rows[s:s + _EXPORT_CHUNK_ROWS]
+                    fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def normalize_unit_sphere(mesh: TriMesh) -> TriMesh:
