@@ -42,13 +42,18 @@ class TriMesh:
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        self.faces = np.ascontiguousarray(self.faces, dtype=np.int32)
+        # range-checked in int64: the int32 cast would wrap an index of 2**32 or more
+        try:
+            faces = np.asarray(self.faces, dtype=np.int64)
+        except OverflowError:
+            raise MeshError("face index out of range") from None
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshError("vertices must have shape (V, 3)")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
+        if faces.ndim != 2 or faces.shape[1] != 3:
             raise MeshError("faces must have shape (F, 3)")
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
+        if faces.size and (faces.min() < 0 or faces.max() >= len(self.vertices)):
             raise MeshError("face index out of range")
+        self.faces = np.ascontiguousarray(faces, dtype=np.int32)
 
     @property
     def n_vertices(self) -> int:

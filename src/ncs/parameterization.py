@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import bicgstab, spsolve
+from scipy.sparse.linalg import splu
 
 from .errors import NumericError, OutOfChartError, TopologyError
 from .geometry import TriMesh, mesh_edges
@@ -293,7 +293,8 @@ def _mean_value_weights(verts: np.ndarray, faces: np.ndarray, n: int) -> csr_mat
 
 def _solve_interior(w: csr_matrix, interior: np.ndarray, boundary_uv: np.ndarray,
                     boundary_idx: np.ndarray, n: int) -> np.ndarray:
-    """Solve the convex-combination system for interior uv (two right-hand sides)."""
+    """Solve the convex-combination system for interior uv: one sparse LU
+    factorisation serves both right-hand sides."""
     idx_of = np.full(n, -1, dtype=np.int64)
     idx_of[interior] = np.arange(len(interior))
     coo = w.tocoo()
@@ -308,7 +309,7 @@ def _solve_interior(w: csr_matrix, interior: np.ndarray, boundary_uv: np.ndarray
     a_rows = np.concatenate([row_i[col_is_int], np.arange(len(interior))])
     a_cols = np.concatenate([idx_of[col[col_is_int]], np.arange(len(interior))])
     a_vals = np.concatenate([-val[col_is_int], diag])
-    a = csr_matrix((a_vals, (a_rows, a_cols)), shape=(len(interior), len(interior)))
+    a = csc_matrix((a_vals, (a_rows, a_cols)), shape=(len(interior), len(interior)))
 
     uv_full = np.zeros((n, 2))
     uv_full[boundary_idx] = boundary_uv
@@ -316,19 +317,17 @@ def _solve_interior(w: csr_matrix, interior: np.ndarray, boundary_uv: np.ndarray
     bmask = ~col_is_int
     np.add.at(rhs, row_i[bmask], val[bmask, None] * uv_full[col[bmask]])
 
-    sol = np.empty_like(rhs)
-    for c in range(2):
-        b = rhs[:, c]
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            sol[:, c] = 0.0
-            continue
-        x, info = bicgstab(a, b, rtol=1e-12, atol=0.0, maxiter=40 * len(b) + 200)
-        if info != 0 or np.linalg.norm(a @ x - b) > _SOLVE_TOL * bnorm:
-            x = spsolve(a.tocsc(), b)
-        if np.linalg.norm(a @ x - b) > _SOLVE_TOL * bnorm:
-            raise NumericError("interior parameterization system did not converge")
-        sol[:, c] = x
+    # the pattern is symmetric and the matrix a row-diagonally-dominant M-matrix,
+    # so a symmetric fill-reducing order factorises stably without pivoting
+    try:
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise NumericError(f"interior parameterization system is singular ({exc})") from None
+    sol = lu.solve(rhs)
+    residual = np.linalg.norm(a @ sol - rhs, axis=0)
+    if not np.isfinite(sol).all() or (residual > _SOLVE_TOL * np.linalg.norm(rhs, axis=0)).any():
+        raise NumericError("interior parameterization system did not solve to tolerance")
     return sol
 
 

@@ -27,6 +27,24 @@ def manual_patchset(mesh, vertex_masks):
     )
 
 
+def interior_system(chart):
+    """`parameterization._solve_interior`'s arguments for the system behind a
+    chart's interior uv, with the chart's own boundary uv."""
+    n = chart.n_vertices
+    w = par._mean_value_weights(chart.points3d, chart.faces.astype(np.int64), n)
+    interior = np.setdiff1d(np.arange(n), chart.boundary)
+    return w, interior, chart.uv[chart.boundary], chart.boundary, n
+
+
+def dense_interior_uv(chart):
+    """(interior vertex ids, their uv) from a dense float64 solve of the chart's
+    convex-combination system."""
+    w, interior, boundary_uv, boundary, _ = interior_system(chart)
+    w = w.toarray()
+    a = np.diag(w[interior].sum(axis=1)) - w[np.ix_(interior, interior)]
+    return interior, np.linalg.solve(a, w[np.ix_(interior, boundary)] @ boundary_uv)
+
+
 def split_checkpoint(blob: bytes):
     """(metadata dict, list of raw record bytes) of a checkpoint file's bytes."""
     payload = blob[len(ck.MAGIC) + 12:-4]  # after magic, version and length; before the CRC

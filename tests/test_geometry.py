@@ -52,6 +52,14 @@ class TestLoadMesh:
         assert load_mesh(p).n_faces == 1
 
 
+class TestTriMesh:
+    # 2**32 and 2**32 + 1 would wrap to 0 and 1 in an int32 cast before the check
+    @pytest.mark.parametrize("bad", [2**32, 2**32 + 1, 2**63 - 1, 2**64, 3, -1])
+    def test_face_index_out_of_range(self, bad):
+        with pytest.raises(MeshError, match="^face index out of range$"):
+            TriMesh(np.eye(3), [[bad, 1, 2]])
+
+
 class TestNormalize:
     def test_two_points(self):
         m = TriMesh(np.array([[0.0, 0, 0], [2.0, 0, 0]]), np.empty((0, 3), dtype=np.int64))

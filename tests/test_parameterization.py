@@ -1,10 +1,17 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
+from conftest import dense_interior_uv, interior_system
+from ncs import parameterization as par
 from ncs import synth
-from ncs.errors import OutOfChartError, TopologyError
+from ncs.errors import NumericError, OutOfChartError, TopologyError
 from ncs.geometry import TriMesh, normalize_unit_sphere
 from ncs.parameterization import (ChartPoint, DiskChart, chart_distortion, chart_lift,
                                   check_disk_topology, embed_disk, global_to_local)
@@ -108,6 +115,43 @@ class TestEmbedDisk:
         assert (chart.signed_areas() > 0).all()
 
 
+class TestSolveInterior:
+    def test_matches_dense_solve(self, bumpy16):
+        _, chart, patchset, _ = bumpy16
+        for c in (chart, patchset.patches[0].chart):
+            interior, uv = dense_interior_uv(c)
+            sol = par._solve_interior(*interior_system(c))
+            np.testing.assert_allclose(sol, uv, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(c.uv[interior], uv, rtol=0, atol=1e-12)
+
+    def test_repeat_calls_same_bytes(self, bumpy16):
+        args = interior_system(bumpy16[1])
+        assert par._solve_interior(*args).tobytes() == par._solve_interior(*args).tobytes()
+
+    def test_singular_system_raises_numeric_error(self):
+        # boundary square 0-3 around interior vertex 4; interior vertex 5 is a
+        # neighbour of 4 but has an empty weight row of its own
+        rows = [4, 4, 4, 4, 4, 0, 1, 2, 3]
+        cols = [0, 1, 2, 3, 5, 4, 4, 4, 4]
+        w = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(6, 6))
+        t = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
+        boundary_uv = np.stack([np.cos(t), np.sin(t)], axis=1)
+        with pytest.raises(NumericError, match="singular"):
+            par._solve_interior(w, np.array([4, 5]), boundary_uv, np.arange(4), 6)
+
+    def test_uv_bytes_independent_of_blas_threads(self):
+        # BLAS reads its thread count when NumPy loads, so each count gets its own
+        # interpreter; bumpy_plane(200) is large enough for BLAS to thread
+        code = ("import hashlib; from ncs import geometry, parameterization, synth; "
+                "mesh = geometry.normalize_unit_sphere(synth.bumpy_plane(200)); "
+                "print(hashlib.sha256(parameterization.embed_disk(mesh).uv.tobytes()).hexdigest())")
+        env = dict(os.environ, PYTHONPATH=str(Path(par.__file__).resolve().parents[1]))
+        digests = {subprocess.run([sys.executable, "-c", code], env=dict(env, OPENBLAS_NUM_THREADS=n),
+                                  capture_output=True, text=True, check=True).stdout
+                   for n in ("1", "2")}
+        assert len(digests) == 1
+
+
 @pytest.fixture(scope="module")
 def chart():
     return embed_disk(normalize_unit_sphere(synth.saddle(8)))
@@ -207,7 +251,6 @@ class TestLocateMany:
         _, chart, _, _ = bumpy16
         q = np.random.default_rng(0).uniform(-1.0, 1.0, size=(500, 2))
         tri, bary = chart.locate_many(q)
-        import ncs.parameterization as par
         monkeypatch.setattr(par, "_LOCATE_CHUNK", 7)
         tri7, bary7 = chart.locate_many(q)
         assert np.array_equal(tri, tri7) and np.array_equal(bary, bary7)
