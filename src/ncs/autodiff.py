@@ -624,9 +624,10 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     GEMM with its 2x2 slice of K4. conv2 gathers (S0, 9*C) columns of position-major rows,
     zero for the padding and the unset pixels, for one GEMM. The backward passes are
     gathers and GEMMs too, K4's gradient is folded back to k1 once, and the one scatter
-    adds the four taps' gradients onto the S0 rows. Sums run in another order than the
-    dense block's, so the two agree to float rounding; pixels the lookups do not read get
-    exactly zero gradient.
+    adds the four taps' gradients onto the S0 rows. One row map, of S1, serves every
+    gather: S0 lies inside S1, so conv2's gradient is read from a copy in S1 rows. Sums
+    run in another order than the dense block's, so the two agree to float rounding;
+    pixels the lookups do not read get exactly zero gradient.
     """
     p, c, h, w = x.data.shape
     if k1.data.shape != (c, c, 3, 3) or k2.data.shape != (c, c, 3, 3):
@@ -644,7 +645,8 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     order = np.argsort(cls, kind="stable")
     s1, bounds = s1[order], np.searchsorted(cls[order], np.arange(5))
     blocks = [(slice(bounds[e], bounds[e + 1]), np.s_[2 + e // 2::-2, 2 + e % 2::-2]) for e in range(4)]
-    map0, map1 = _row_map(s0, sites.s0.size), _row_map(s1, sites.s1.size)
+    map1 = _row_map(s1, sites.s1.size)
+    r0 = np.take(map1, s0)  # the S1 row of each S0 pixel: S0 lies inside S1
     n0, n1 = len(s0), len(s1)
 
     # x as rows of a low-res frame padded like the high-res one
@@ -676,7 +678,7 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     y = np.maximum(pre2, 0)
 
     weights = _bilerp_weights(sites.fx, sites.fy, dt)
-    taps = np.take(map0, sites.taps)  # (4, M) rows of S0
+    taps = np.take(_row_map(r0, n1), np.take(map1, sites.taps))  # (4, M) rows of S0
     v = np.take(y, taps, axis=0)
     out_d = v[0] * weights[0] + v[1] * weights[1] + v[2] * weights[2] + v[3] * weights[3]
     out = _out(out_d, x, k1, b1, k2, b2)
@@ -687,8 +689,10 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
         np.add.at(gy, (taps[..., None] * c + np.arange(c)).reshape(-1),
                   np.stack([g * wk for wk in weights]).reshape(-1))
         gpre2 = gy.reshape(n0, c) * (pre2 > 0)
+        g2 = np.zeros((n1, c), dtype=dt)  # gpre2 in S1 rows, zero off S0
+        g2[r0] = gpre2
         # conv2 backward: S1 pixel s takes tap t's gradient from S0 pixel s - off_t
-        gcol = _gather(gpre2, map0, s1[:, None] - offs).reshape(n1, 9 * c)
+        gcol = _gather(g2, map1, s1[:, None] - offs).reshape(n1, 9 * c)
         k2t = k2.data.transpose(2, 3, 0, 1).reshape(9 * c, c).astype(dt, copy=False)
         gpre1 = (gcol @ k2t) * (pre1 > 0)
         gk1 = gk2 = gx = None
@@ -700,19 +704,20 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
         if k2.requires_grad:
             gk2 = np.ascontiguousarray((col2.T @ gpre2).reshape(3, 3, c, c).transpose(3, 2, 0, 1))
         if x.requires_grad:
-            gx = _residual_block_at_gx(gpre1, gpre2, map0, map1, sites, k4)
+            gx = _residual_block_at_gx(gpre1, g2, map1, sites, k4)
         return gx, gk1, gpre1.sum(axis=0), gk2, gpre2.sum(axis=0)
 
     return _emit(out, (x, k1, b1, k2, b2), bw)
 
 
-def _residual_block_at_gx(gpre1, gpre2, map0, map1, sites: TapSites, k4: np.ndarray) -> np.ndarray:
+def _residual_block_at_gx(gpre1, gpre2, map1, sites: TapSites, k4: np.ndarray) -> np.ndarray:
     """Gradient of `residual_block_at` with respect to its low-res input x (P,C,h,w).
 
     Low-res pixel q collects conv1's input gradient from the S1 pixels of the 4x4
     high-res window 2q + d, d = -1..2, through the phase kernel k4 (4, 4, Cin, Cout):
     one gather of 16 S1 rows and one GEMM per low-res pixel, plus the residual gradient
-    of its four upsampled copies from S0. Only low-res pixels whose window meets S1 are
+    of its four upsampled copies. Both gradients come in S1 rows (conv2's is zero off
+    S0) and are read through `map1`. Only low-res pixels whose window meets S1 are
     computed; the rest are zero.
     """
     p, hp, wp = sites.s1.shape
@@ -730,7 +735,7 @@ def _residual_block_at_gx(gpre1, gpre2, map0, map1, sites: TapSites, k4: np.ndar
     disp = (d[:, None] * wp + d[None, :]).reshape(-1)
     kd = k4.transpose(0, 1, 3, 2).reshape(16 * c, c)  # (4, 4, Cout, Cin)
     gq = _gather(gpre1, map1, base[:, None] + disp).reshape(len(live), 16 * c) @ kd
-    res = _gather(gpre2, map0, base[:, None] + disp[[5, 6, 9, 10]])
+    res = _gather(gpre2, map1, base[:, None] + disp[[5, 6, 9, 10]])
     gq += (res[:, 0] + res[:, 1]) + (res[:, 2] + res[:, 3])
     gx = np.zeros((p * h * w, c), dtype=gpre1.dtype)
     gx[live] = gq

@@ -46,14 +46,24 @@ def _workers() -> int:
         return 1
 
 
+# exit code and message prefix of every error `main` reports; any other exception is a
+# bug and keeps its traceback
+_EXITS = {
+    **dict.fromkeys((ConfigError, MeshError, CheckpointError, AlignmentError, OSError), (2, "error")),
+    TopologyError: (3, "topology error"),
+    **dict.fromkeys((NumericError, OutOfChartError, CoverageError, FrameDegenerateError),
+                    (4, "numeric error")),
+}
+_NCS_ERRORS = tuple(t for t in _EXITS if t is not OSError)
+
+
 @contextmanager
 def _stage(name: str):
     """Prefix any module error with the pipeline stage it came from; the error
     itself, with its type and attributes, propagates."""
     try:
         yield
-    except (ConfigError, MeshError, TopologyError, NumericError, OutOfChartError,
-            CoverageError, FrameDegenerateError, CheckpointError, AlignmentError) as e:
+    except _NCS_ERRORS as e:
         e.args = (f"{name}: {e}",)
         raise
 
@@ -377,15 +387,10 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return int(args.func(args) or 0)
-    except (ConfigError, MeshError, CheckpointError, AlignmentError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TopologyError as e:
-        print(f"topology error: {e}", file=sys.stderr)
-        return 3
-    except (NumericError, OutOfChartError, CoverageError, FrameDegenerateError) as e:
-        print(f"numeric error: {e}", file=sys.stderr)
-        return 4
+    except tuple(_EXITS) as e:
+        code, prefix = next(v for t, v in _EXITS.items() if isinstance(e, t))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

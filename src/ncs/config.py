@@ -1,59 +1,50 @@
 """Run configuration: a flat INI-style key-value file with sections.
 
-Unknown sections or keys are hard errors so misspellings cannot silently fall
-back to defaults. Defaults follow the reference setup: patch radius 0.04 of the
-max extent, forbid probability 0.5, base learning rate 1e-4, 100K warm-up.
+`_KEYS` maps each (section, key) to the `RunConfig`, `ArchConfig` or `TrainSchedule`
+field it sets and its parser. An omitted key keeps the dataclass default, the
+reference setup. Unknown sections or keys are errors so misspellings cannot silently
+fall back to defaults. Each dataclass range-checks its fields; every unparsable or
+out-of-range value raises ConfigError (exit code 2).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .model import ArchConfig
 from .training import TrainSchedule
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "mesh": {"path": ""},
-    "patches": {"radius": "0.04", "forbid": "0.5", "seed": "0"},
-    "arch": {
-        "coarse": "128,64,64",
-        "code": "8x4x4",
-        "channels": "8",
-        "blocks": "5",
-        "fine": "16,16",
-        "mode": "vector",
-    },
-    "train": {
-        "base_lr": "1e-4",
-        "coarse_floor_lr": "1e-6",
-        "warmup": "100000",
-        "total": "800000",
-        "batch": "2048",
-        "seed": "0",
-        "log_every": "100",
-        "checkpoint_every": "10000",
-    },
-    "output": {"dir": "ncs_out"},
-}
-
 
 @dataclass
 class RunConfig:
     mesh_path: str
-    radius_frac: float
-    forbid_prob: float
-    patch_seed: int
-    arch: ArchConfig
-    schedule: TrainSchedule
-    batch_size: int
-    fit_seed: int
-    log_every: int
-    checkpoint_every: int
-    out_dir: str
-    raw_text: str
+    radius_frac: float = 0.04
+    forbid_prob: float = 0.5
+    patch_seed: int = 0
+    arch: ArchConfig = field(default_factory=ArchConfig)
+    schedule: TrainSchedule = field(default_factory=TrainSchedule)
+    batch_size: int = 2048
+    fit_seed: int = 0
+    log_every: int = 100
+    checkpoint_every: int = 10_000
+    out_dir: str = "ncs_out"
+    raw_text: str = ""
+
+    def __post_init__(self):
+        if not self.radius_frac > 0:  # NaN fails too
+            raise ValueError(f"[patches] radius must be positive, got {self.radius_frac}")
+        if not 0.0 <= self.forbid_prob <= 1.0:
+            raise ValueError(f"[patches] forbid must be in [0, 1], got {self.forbid_prob}")
+        if self.batch_size < 1:
+            raise ValueError(f"[train] batch must be >= 1, got {self.batch_size}")
+        for name, value in (("[patches] seed", self.patch_seed), ("[train] seed", self.fit_seed),
+                            ("[train] log_every", self.log_every),
+                            ("[train] checkpoint_every", self.checkpoint_every)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _int_tuple(text: str, sep: str) -> tuple[int, ...]:
@@ -63,6 +54,37 @@ def _int_tuple(text: str, sep: str) -> tuple[int, ...]:
         raise ConfigError(f"expected {sep!r}-separated integers, got {text!r}") from None
 
 
+def _code(text: str) -> tuple[int, int, int]:
+    code = _int_tuple(text, "x")
+    if len(code) != 3:
+        raise ConfigError(f"[arch] code must be DxHxW, got {text!r}")
+    return code
+
+
+# (section, key) -> (dataclass, field, parser of the text)
+_KEYS = {
+    ("mesh", "path"): (RunConfig, "mesh_path", str),
+    ("patches", "radius"): (RunConfig, "radius_frac", float),
+    ("patches", "forbid"): (RunConfig, "forbid_prob", float),
+    ("patches", "seed"): (RunConfig, "patch_seed", int),
+    ("arch", "coarse"): (ArchConfig, "coarse_widths", lambda t: _int_tuple(t, ",")),
+    ("arch", "code"): (ArchConfig, "code_shape", _code),
+    ("arch", "channels"): (ArchConfig, "cnn_channels", int),
+    ("arch", "blocks"): (ArchConfig, "cnn_blocks", int),
+    ("arch", "fine"): (ArchConfig, "fine_widths", lambda t: _int_tuple(t, ",")),
+    ("arch", "mode"): (ArchConfig, "mode", str),
+    ("train", "base_lr"): (TrainSchedule, "base_lr", float),
+    ("train", "coarse_floor_lr"): (TrainSchedule, "coarse_floor_lr", float),
+    ("train", "warmup"): (TrainSchedule, "warmup_iters", int),
+    ("train", "total"): (TrainSchedule, "total_iters", int),
+    ("train", "batch"): (RunConfig, "batch_size", int),
+    ("train", "seed"): (RunConfig, "fit_seed", int),
+    ("train", "log_every"): (RunConfig, "log_every", int),
+    ("train", "checkpoint_every"): (RunConfig, "checkpoint_every", int),
+    ("output", "dir"): (RunConfig, "out_dir", str),
+}
+
+
 def parse_config_text(text: str) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -70,64 +92,27 @@ def parse_config_text(text: str) -> RunConfig:
     except configparser.Error as e:
         raise ConfigError(f"cannot parse config: {e}") from None
 
+    values = {RunConfig: {}, ArchConfig: {}, TrainSchedule: {}}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in {s for s, _ in _KEYS}:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
+        for key, raw in cp[section].items():
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            owner, name, parse = _KEYS[section, key]
+            try:
+                values[owner][name] = parse(raw)
+            except ValueError:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
-    def get(section: str, key: str) -> str:
-        if cp.has_option(section, key):
-            return cp.get(section, key).strip()
-        return _SCHEMA[section][key]
-
-    mesh_path = get("mesh", "path")
-    if not mesh_path:
+    if not values[RunConfig].get("mesh_path"):
         raise ConfigError("config needs [mesh] path")
-
-    def num(section, key, cast):
-        raw = get(section, key)
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
-
-    code = _int_tuple(get("arch", "code"), "x")
-    if len(code) != 3:
-        raise ConfigError(f"[arch] code must be DxHxW, got {get('arch', 'code')!r}")
     try:
-        arch = ArchConfig(
-            coarse_widths=_int_tuple(get("arch", "coarse"), ","),
-            code_shape=code,
-            cnn_channels=num("arch", "channels", int),
-            cnn_blocks=num("arch", "blocks", int),
-            fine_widths=_int_tuple(get("arch", "fine"), ","),
-            mode=get("arch", "mode"),
-        )
-        schedule = TrainSchedule(
-            warmup_iters=num("train", "warmup", int),
-            total_iters=num("train", "total", int),
-            base_lr=num("train", "base_lr", float),
-            coarse_floor_lr=num("train", "coarse_floor_lr", float),
-        )
+        return RunConfig(arch=ArchConfig(**values[ArchConfig]),
+                         schedule=TrainSchedule(**values[TrainSchedule]),
+                         raw_text=text, **values[RunConfig])
     except ValueError as e:
         raise ConfigError(str(e)) from None
-
-    return RunConfig(
-        mesh_path=mesh_path,
-        radius_frac=num("patches", "radius", float),
-        forbid_prob=num("patches", "forbid", float),
-        patch_seed=num("patches", "seed", int),
-        arch=arch,
-        schedule=schedule,
-        batch_size=num("train", "batch", int),
-        fit_seed=num("train", "seed", int),
-        log_every=num("train", "log_every", int),
-        checkpoint_every=num("train", "checkpoint_every", int),
-        out_dir=get("output", "dir"),
-        raw_text=text,
-    )
 
 
 def parse_config(path) -> RunConfig:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration/input problems (and OSError) -> 2,
-topology problems -> 3, numeric problems -> 4.
+`cli._EXITS` maps each of these (and OSError) onto its exit code and message prefix:
+configuration/input problems -> 2, topology problems -> 3, numeric problems -> 4.
 """
 
 

@@ -47,6 +47,10 @@ class ArchConfig:
             raise ValueError("fine widths must be >= 1")
         if self.cnn_blocks < 1:
             raise ValueError("need at least one CNN block")
+        if self.cnn_channels < 1:
+            raise ValueError(f"CNN channels must be >= 1, got {self.cnn_channels}")
+        if any(d < 1 for d in self.code_shape):
+            raise ValueError(f"code dimensions must be >= 1, got {self.code_shape}")
         if self.code_shape[0] != self.cnn_channels:
             raise ValueError(
                 f"code depth {self.code_shape[0]} must equal CNN channels {self.cnn_channels}: "

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import NumericError, OutOfChartError, TopologyError
-from .geometry import TriMesh, mesh_edges
+from .geometry import TriMesh, _ranges, mesh_edges
 
 # barycentric tolerance for point-in-triangle acceptance at shared edges
 _BARY_TOL = 1e-9
@@ -134,7 +134,7 @@ class DiskChart:
             starts = grid.starts[cell]
             counts = grid.starts[cell + 1] - starts
             pt = np.repeat(np.arange(len(qc)), counts)
-            fid = grid.face_ids[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(len(pt))]
+            fid = grid.face_ids[_ranges(starts, counts)]
             d = qc[pt] - self._bary_origin[fid]
             m = self._bary_inv[fid]
             b1 = m[:, 0, 0] * d[:, 0] + m[:, 0, 1] * d[:, 1]
@@ -168,7 +168,7 @@ class _LocateGrid:
         nx = i1[:, 0] - i0[:, 0] + 1
         counts = nx * (i1[:, 1] - i0[:, 1] + 1)
         fid = np.repeat(np.arange(nf), counts)
-        k = np.arange(len(fid)) - np.repeat(np.cumsum(counts) - counts, counts)
+        k = _ranges(np.zeros_like(counts), counts)
         cell = (i0[fid, 1] + k // nx[fid]) * self.res + i0[fid, 0] + k % nx[fid]
         order = np.argsort(cell, kind="stable")
         self.face_ids = fid[order]

@@ -33,7 +33,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import CoverageError, MeshError, OutOfChartError, TopologyError
-from .geometry import TriMesh, edge_graph, mesh_edges, mesh_extent
+from .geometry import TriMesh, _ranges, edge_graph, mesh_edges, mesh_extent
 from .parameterization import DiskChart, chart_distortion, embed_disk
 
 _MAX_SHRINKS = 3
@@ -188,7 +188,7 @@ def extract_patches(mesh: TriMesh, radius_frac: float, forbid_prob: float, seed:
     After all vertices are covered, any face still inside no patch seeds an extra
     patch at one of its corners, so face coverage is complete too.
     """
-    if radius_frac <= 0:
+    if not radius_frac > 0:  # NaN fails too
         raise ValueError("radius fraction must be positive")
     if not 0.0 <= forbid_prob <= 1.0:
         raise ValueError("forbid probability must be in [0, 1]")
@@ -355,7 +355,7 @@ def face_pairs(patchset: PatchSet, faces: np.ndarray, bary: np.ndarray):
     faces = np.asarray(faces, dtype=np.int64)
     counts = offsets[faces + 1] - offsets[faces]
     pair_sample = np.repeat(np.arange(len(faces)), counts)
-    flat = np.repeat(offsets[faces] - np.cumsum(counts) + counts, counts) + np.arange(len(pair_sample))
+    flat = _ranges(offsets[faces], counts)
     pair_patch = table_patch[flat]
     pair_uv = np.einsum("mk,mkd->md", bary[pair_sample], table_uv[flat])
     raw = pair_boundary_distances(patchset, pair_patch, pair_uv)

@@ -28,7 +28,7 @@ class TrainSchedule:
     """Warm-up length, total iterations, and the two branch learning rates."""
 
     warmup_iters: int = 100_000
-    total_iters: int = 200_000
+    total_iters: int = 800_000
     base_lr: float = 1e-4
     coarse_floor_lr: float = 1e-6
 

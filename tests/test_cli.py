@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from ncs import synth
 from ncs.cli import main
 from ncs.config import parse_config_text
 from ncs.errors import ConfigError
+from ncs.model import ArchConfig
+from ncs.training import TrainSchedule
 from ncs.geometry import export_mesh, load_mesh, normalize_unit_sphere, sample_surface_arrays, chamfer_distance
 
 
@@ -85,6 +88,17 @@ class TestConfig:
         assert cfg.arch.coarse_widths == (128, 64, 64)
         assert cfg.arch.code_shape == (8, 4, 4)
         assert cfg.arch.cnn_blocks == 5
+        # an omitted key takes its dataclass default
+        assert cfg.arch == ArchConfig()
+        assert cfg.schedule == TrainSchedule()
+        assert cfg.schedule.total_iters == 800_000
+        assert (cfg.batch_size, cfg.log_every, cfg.checkpoint_every, cfg.out_dir) == (
+            2048, 100, 10_000, "ncs_out")
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg = parse_config_text(readme.split("```ini\n")[1].split("```")[0])
+        assert (cfg.radius_frac, cfg.arch.code_shape, cfg.out_dir) == (0.25, (4, 4, 4), "runs/bumpy")
 
     def test_missing_mesh_path(self):
         with pytest.raises(ConfigError, match="path"):
@@ -103,6 +117,38 @@ class TestExitCodes:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[mesh]\npath = {mesh_file}\nsurprise = 1\n")
         assert main(["fit", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("edits", [
+        {"radius = 0.45": "radius = -0.1"},
+        {"radius = 0.45": "radius = 0"},
+        {"radius = 0.45": "radius = nan"},
+        {"forbid = 0.5": "forbid = 1.5"},
+        {"batch = 96": "batch = 0"},
+        {"batch = 96": "batch = -4"},
+        {"channels = 2": "channels = 0", "code = 2x2x2": "code = 0x2x2"},
+        {"code = 2x2x2": "code = 2x0x2"},
+        {"seed = 1\n": "seed = -1\n"},
+        {"seed = 5": "seed = -1"},
+        {"log_every = 20": "log_every = -1"},
+        {"checkpoint_every = 0": "checkpoint_every = -1"},
+    ], ids=["radius_negative", "radius_zero", "radius_nan", "forbid", "batch_zero",
+            "batch_negative", "channels_zero", "code_zero", "patch_seed", "fit_seed",
+            "log_every", "checkpoint_every"])
+    def test_out_of_range_value_is_2(self, tmp_path, mesh_file, edits, capsys):
+        cfg, out = write_config(tmp_path, mesh_file)
+        text = cfg.read_text()
+        for old, new in edits.items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg.write_text(text)
+        commands = [["fit", str(cfg)]]
+        if "radius = 0.45" in edits:
+            commands.append(["patches", str(cfg), "-o", str(tmp_path / "p.csv")])
+        for argv in commands:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "p.csv").exists()
 
     def test_closed_mesh_is_3(self, tmp_path):
         sphere = tmp_path / "sphere.obj"

@@ -43,6 +43,11 @@ class TestArchConfig:
         with pytest.raises(ValueError, match="channels"):
             mo.ArchConfig(code_shape=(6, 6, 6), cnn_channels=8)
 
+    @pytest.mark.parametrize("channels, code", [(0, (0, 2, 2)), (2, (2, 0, 2)), (2, (2, 2, -1))])
+    def test_empty_code_or_cnn_rejected(self, channels, code):
+        with pytest.raises(ValueError, match="channels|code"):
+            mo.ArchConfig(code_shape=code, cnn_channels=channels)
+
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             mo.ArchConfig(mode="sideways")

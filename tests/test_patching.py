@@ -122,6 +122,8 @@ class TestExtraction:
             extract_patches(mesh, -0.1, 0.5)
         with pytest.raises(ValueError):
             extract_patches(mesh, 0.2, 1.5)
+        with pytest.raises(ValueError, match="radius"):
+            extract_patches(mesh, float("nan"), 0.5)
 
 
 class TestBoundaryDistance:
