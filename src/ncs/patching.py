@@ -11,9 +11,12 @@ All weight queries take one batched path. `face_pairs` turns samples given as
 (parent face, barycentric weights) into (sample, patch, local uv, weight) pair
 arrays through the per-face pair table `PatchSet.face_pair_table`;
 `pairs_for_points` locates global 2D points first, and `blend_weights` is its
-one-point view. Distances come from each chart's inward edge lines
-(`PatchSet.line_pack`), exact because the chart polygons are convex;
-`boundary_signed_distance` is the polygon reference they are tested against.
+one-point view. Distances come from each chart's inward edge lines, kept per
+patch and unpadded (`PatchSet.line_pack`), and are exact because the chart
+polygons are convex; `boundary_signed_distance` is the polygon reference they are
+tested against. `pair_boundary_distances` sorts the pairs by patch once and
+evaluates each patch's rows against its lines in blocks of `_BLOCK_ROWS` rows, so
+the (rows, lines) block stays in the L2 cache instead of streaming through memory.
 
 A PatchSet is built from its patches alone: it derives `face_cover` and
 `vertex_cover` (the patches holding each face and vertex, in ascending patch
@@ -37,6 +40,8 @@ from .geometry import TriMesh, _ranges, edge_graph, mesh_edges, mesh_extent
 from .parameterization import DiskChart, chart_distortion, embed_disk
 
 _MAX_SHRINKS = 3
+# rows per blend-distance GEMM block: (128, 300 lines) of float64 is about 300 KB
+_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -67,7 +72,7 @@ class PatchSet:
     # per face / vertex: the ascending indices of the patches that hold it
     face_cover: list[np.ndarray] = field(init=False, repr=False, compare=False)
     vertex_cover: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    _line_pack: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _line_pack: list | None = field(default=None, init=False, repr=False, compare=False)
     _face_pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,33 +90,27 @@ class PatchSet:
         counts = np.array([len(c) for c in self.vertex_cover])
         return {int(k): int((counts == k).sum()) for k in np.unique(counts)}
 
-    def line_pack(self):
-        """Padded inward edge-line data (nx, ny, c) per patch: for a point inside a
-        patch's boundary polygon the distance to the polygon is min_e nx*x+ny*y-c.
+    def line_pack(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Inward edge lines of each patch's boundary polygon, one unpadded entry per
+        patch: (w (2, E), c (E,)) with E = len(chart.boundary). For a point x inside
+        the polygon the distance to it is min over the lines of x @ w - c.
 
         Boundary vertices sit on the unit circle in angular order, so the polygon is
         convex and the nearest boundary feature of an interior point is always the
         perpendicular foot on an edge; the edge-line distance is then exact.
         """
         if self._line_pack is None:
-            polys = [p.chart.uv[p.chart.boundary] for p in self.patches]
-            emax = max(len(b) for b in polys)
-            n = len(polys)
-            nx = np.zeros((n, emax))
-            ny = np.zeros((n, emax))
-            c = np.full((n, emax), -1e9)  # padded lines read as "very far inside"
-            for i, poly in enumerate(polys):
+            pack = []
+            for p in self.patches:
+                poly = p.chart.uv[p.chart.boundary]
                 area2 = np.sum(poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1])
                 pts = poly if area2 > 0 else poly[::-1]
                 d = np.roll(pts, -1, axis=0) - pts
                 ln = np.maximum(np.linalg.norm(d, axis=1), 1e-300)
                 # inward (left) normal of a counterclockwise polygon edge
-                nxi = -d[:, 1] / ln
-                nyi = d[:, 0] / ln
-                nx[i, : len(pts)] = nxi
-                ny[i, : len(pts)] = nyi
-                c[i, : len(pts)] = nxi * pts[:, 0] + nyi * pts[:, 1]
-            self._line_pack = (nx, ny, c)
+                w = np.stack([-d[:, 1] / ln, d[:, 0] / ln])
+                pack.append((w, w[0] * pts[:, 0] + w[1] * pts[:, 1]))
+            self._line_pack = pack
         return self._line_pack
 
     def face_pair_table(self):
@@ -317,19 +316,30 @@ def pair_boundary_distances(patchset: PatchSet, pair_patch: np.ndarray, pair_uv:
     The uv points are assumed to lie inside their patch charts (true for any point
     carried over from a member face), so this equals the magnitude of the signed
     boundary distance: each polygon is convex, hence the min over edge lines.
+
+    The pairs are sorted by patch once, and each patch's rows are evaluated in
+    blocks of _BLOCK_ROWS, so that the (rows, lines) distance block stays in cache.
     """
-    nx, ny, c = patchset.line_pack()
-    pair_uv = np.asarray(pair_uv, dtype=np.float64)
-    pair_patch = np.asarray(pair_patch)
-    out = np.empty(len(pair_patch))
+    pack = patchset.line_pack()
+    pair_patch = np.asarray(pair_patch, dtype=np.int64)
     order = np.argsort(pair_patch, kind="stable")
-    sorted_p = pair_patch[order]
-    group_starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_p)) + 1, [len(sorted_p)]])
-    for g in range(len(group_starts) - 1):
-        rows = order[group_starts[g]:group_starts[g + 1]]
-        pid = int(sorted_p[group_starts[g]])
-        d = pair_uv[rows] @ np.stack([nx[pid], ny[pid]]) - c[pid]
-        out[rows] = d.min(axis=1)
+    uv = np.asarray(pair_uv, dtype=np.float64).reshape(-1, 2)[order]
+    bounds = np.searchsorted(pair_patch[order], np.arange(len(pack) + 1))
+    if bounds[0] != 0 or bounds[-1] != len(order):
+        raise IndexError(f"patch id out of range [0, {len(pack)})")
+    res = np.empty(len(order))
+    for (w, c), lo, hi in zip(pack, bounds[:-1].tolist(), bounds[1:].tolist()):
+        s = lo
+        while s < hi:
+            # fold a one-row tail into its block: NumPy sends a one-row product
+            # through GEMV, which rounds differently from GEMM
+            e = hi if s + _BLOCK_ROWS >= hi - 1 else s + _BLOCK_ROWS
+            d = uv[s:e] @ w
+            d -= c
+            res[s:e] = d.min(axis=1)
+            s = e
+    out = np.empty_like(res)
+    out[order] = res
     return np.maximum(out, 0.0)
 
 

@@ -35,6 +35,8 @@ class TrainSchedule:
     def __post_init__(self):
         if self.warmup_iters < 0 or self.total_iters < 0:
             raise ValueError("iteration counts must be >= 0")
+        if not (np.isfinite(self.base_lr) and np.isfinite(self.coarse_floor_lr)):
+            raise ValueError("learning rates must be finite")
         if not 0.0 <= self.coarse_floor_lr <= self.base_lr:
             raise ValueError("coarse floor must lie in [0, base_lr]")
 

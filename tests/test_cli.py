@@ -131,9 +131,10 @@ class TestExitCodes:
         {"seed = 5": "seed = -1"},
         {"log_every = 20": "log_every = -1"},
         {"checkpoint_every = 0": "checkpoint_every = -1"},
+        {"base_lr = 1e-4": "base_lr = inf"},
     ], ids=["radius_negative", "radius_zero", "radius_nan", "forbid", "batch_zero",
             "batch_negative", "channels_zero", "code_zero", "patch_seed", "fit_seed",
-            "log_every", "checkpoint_every"])
+            "log_every", "checkpoint_every", "base_lr_inf"])
     def test_out_of_range_value_is_2(self, tmp_path, mesh_file, edits, capsys):
         cfg, out = write_config(tmp_path, mesh_file)
         text = cfg.read_text()

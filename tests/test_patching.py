@@ -8,8 +8,9 @@ from ncs import synth
 from ncs.errors import MeshError, OutOfChartError
 from ncs.geometry import TriMesh, normalize_unit_sphere
 from ncs.parameterization import DiskChart, embed_disk
-from ncs.patching import (blend_weights, boundary_signed_distance, extract_patches,
-                          normalize_pair_weights, pair_boundary_distances, patch_rows)
+from ncs.patching import (_BLOCK_ROWS, blend_weights, boundary_signed_distance, extract_patches,
+                          face_pairs, normalize_pair_weights, pair_boundary_distances,
+                          pairs_for_points, patch_rows)
 
 # frozen after the first run; extraction must reproduce it exactly (determinism)
 SPHERE_GOLDEN_PATCH_COUNT = 345
@@ -162,6 +163,86 @@ class TestBoundaryDistance:
             line = pair_boundary_distances(patchset, np.array([pid]), uv[None])[0]
             exact = -boundary_signed_distance(patch.chart, uv)
             assert line == pytest.approx(exact, abs=1e-12)
+
+
+def member_points(chart, n, rng):
+    """n random points in random member faces of a chart, in chart uv."""
+    tri = chart.faces[rng.integers(chart.n_faces, size=n)]
+    return np.einsum("mk,mkd->md", rng.dirichlet(np.ones(3), n), chart.uv[tri])
+
+
+def per_patch_gemm_distances(patchset, pair_patch, pair_uv):
+    """Reference: all of a patch's pairs against its lines in one GEMM."""
+    out = np.empty(len(pair_patch))
+    for pid, (w, c) in enumerate(patchset.line_pack()):
+        rows = np.flatnonzero(pair_patch == pid)
+        if len(rows):
+            out[rows] = (pair_uv[rows] @ w - c).min(axis=1)
+    return np.maximum(out, 0.0)
+
+
+class TestBlockedDistances:
+    """pair_boundary_distances evaluates each patch's rows in blocks of _BLOCK_ROWS."""
+
+    @staticmethod
+    def check(patchset, pair_patch, pair_uv):
+        got = pair_boundary_distances(patchset, pair_patch, pair_uv)
+        # chart uv lies in the unit disk, so every term is at most 1 in magnitude and
+        # 2 ulp there bounds GEMM rounding differences between row tilings
+        ref = per_patch_gemm_distances(patchset, pair_patch, pair_uv)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=2 * np.spacing(1.0))
+        for pid, uv, d in zip(pair_patch, pair_uv, got):
+            exact = -boundary_signed_distance(patchset.patches[pid].chart, uv)
+            assert abs(d - exact) <= 1e-12
+
+    def test_many_pairs_per_patch_shuffled(self, bumpy16):
+        _, _, patchset, _ = bumpy16
+        rng = np.random.default_rng(5)
+        counts = rng.integers(1, 3 * _BLOCK_ROWS, size=patchset.n_patches)
+        pair_patch = np.repeat(np.arange(patchset.n_patches), counts)
+        pair_uv = np.concatenate([member_points(p.chart, k, rng) for p, k in zip(patchset.patches, counts)])
+        perm = rng.permutation(len(pair_patch))
+        self.check(patchset, pair_patch[perm], pair_uv[perm])
+
+    @pytest.mark.parametrize("rows", [3 * _BLOCK_ROWS + 37, 3 * _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS],
+                             ids=["ragged_tail", "one_row_tail", "block_multiple"])
+    def test_block_boundaries(self, bumpy16, rows):
+        _, _, patchset, _ = bumpy16
+        rng = np.random.default_rng(rows)
+        pid = patchset.n_patches // 2
+        others = rng.integers(patchset.n_patches, size=20)
+        others = others[others != pid]
+        pair_patch = np.concatenate([np.full(rows, pid), others])
+        pair_uv = np.concatenate([member_points(patchset.patches[pid].chart, rows, rng),
+                                  [member_points(patchset.patches[o].chart, 1, rng)[0] for o in others]])
+        perm = rng.permutation(len(pair_patch))
+        self.check(patchset, pair_patch[perm], pair_uv[perm])
+
+    def test_lines_unpadded(self, bumpy16):
+        _, _, patchset, _ = bumpy16
+        pack = patchset.line_pack()
+        assert len(pack) == patchset.n_patches
+        for (w, c), patch in zip(pack, patchset.patches):
+            e = len(patch.chart.boundary)
+            assert w.shape == (2, e) and c.shape == (e,)
+            np.testing.assert_allclose(np.hypot(w[0], w[1]), 1.0, rtol=1e-12)
+            # every line is an edge of a polygon inscribed in the unit circle: no sentinel
+            assert np.all(np.abs(c) <= 1.0 + 1e-12)
+
+    def test_empty_input(self, bumpy16):
+        _, chart, patchset, _ = bumpy16
+        d = pair_boundary_distances(patchset, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+        assert d.dtype == np.float64 and d.shape == (0,)
+        for sample, patch, uv, w in (face_pairs(patchset, np.zeros(0, dtype=np.int64), np.zeros((0, 3))),
+                                     pairs_for_points(patchset, chart, np.zeros((0, 2)))):
+            assert sample.shape == patch.shape == w.shape == (0,) and uv.shape == (0, 2)
+            assert sample.dtype == patch.dtype == np.int64
+            assert uv.dtype == w.dtype == np.float64
+
+    def test_patch_id_out_of_range(self, bumpy16):
+        _, _, patchset, _ = bumpy16
+        with pytest.raises(IndexError):
+            pair_boundary_distances(patchset, np.array([patchset.n_patches]), np.zeros((1, 2)))
 
 
 class TestBlendWeights:

@@ -56,6 +56,13 @@ class TestSchedule:
         _, lr_c, lr_f = tr.schedule_at(s, 15)
         assert lr_c == 0.0 and lr_f == pytest.approx(1e-4)
 
+    @pytest.mark.parametrize("rates", [dict(base_lr=np.inf), dict(coarse_floor_lr=np.inf),
+                                       dict(base_lr=np.inf, coarse_floor_lr=np.inf),
+                                       dict(base_lr=np.nan)])
+    def test_non_finite_rate_rejected(self, rates):
+        with pytest.raises(ValueError):
+            tr.TrainSchedule(**rates)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 300_000), st.integers(0, 300_000))
     def test_monotone_and_consistent(self, t1, t2):
