@@ -10,9 +10,10 @@ Each part of the schema is written down once. Record dtype codes are indices int
 optimizer record names come from `ModelParams.named_tensors`; the arch metadata is
 the fields of `ArchConfig`. `restore_state` builds a fresh model for the stored
 arch and loads each stored tensor into it by name. Anything unreadable or
-inconsistent (a malformed record or metadata, a tensor or optimizer state that does
-not fit the stored arch) raises `CheckpointError`. A save writes a sibling temporary
-file and renames it over the target, so an interrupted save leaves the old file intact.
+inconsistent (a malformed record or metadata, a patch record that does not index
+into the mesh, a tensor or optimizer state that does not fit the stored arch)
+raises `CheckpointError`. A save writes a sibling temporary file and renames it
+over the target, so an interrupted save leaves the old file intact.
 """
 
 from __future__ import annotations
@@ -234,17 +235,39 @@ def checkpoint_from_state(config_text: str, iteration: int, mesh: TriMesh,
     )
 
 
+def _check_patch_record(i: int, pd: dict, n_vertices: int, n_faces: int) -> None:
+    """CheckpointError unless patch record i indexes consistently, as the patch set's
+    covers and face pair table assume: parent vertex and face ids strictly increasing
+    and in range, one face id per chart face, chart faces and boundary within the
+    patch's vertices, and one uv row per vertex."""
+    n, nf = pd["vertex_ids"].size, pd["faces"].size // 3
+    # record, its shape, the bound of its integer entries (None: not indices), and
+    # whether they must strictly increase
+    for key, shape, bound, increasing in [("vertex_ids", (n,), n_vertices, True),
+                                          ("faces", (nf, 3), n, False),
+                                          ("orig_face_ids", (nf,), n_faces, True),
+                                          ("boundary", (pd["boundary"].size,), n, False),
+                                          ("uv", (n, 2), None, False)]:
+        a = pd[key]
+        ok = a.shape == shape and (bound is None or a.dtype.kind == "i" and (
+            a.size == 0 or 0 <= a.min() <= a.max() < bound))
+        if not ok or increasing and not (np.diff(a) > 0).all():
+            raise CheckpointError(f"patch {i}: {key} record does not fit the mesh or the patch")
+
+
 def restore_state(ckpt: Checkpoint):
     """Rebuild (mesh, global_chart, patchset, params) from a loaded checkpoint.
 
     The model is built fresh for the stored arch and takes each stored tensor by
     name; a tensor set, tensor shape, non-empty optimizer state set or shape, or pca
-    frame set that does not fit that arch raises CheckpointError."""
+    frame set that does not fit that arch raises CheckpointError, as does a patch
+    record that does not index into the mesh and its own vertices."""
     mesh = TriMesh(ckpt.mesh_vertices, ckpt.mesh_faces, uv=ckpt.global_uv.copy())
     global_chart = DiskChart(mesh.vertices, mesh.faces, ckpt.global_uv, ckpt.global_boundary)
 
     patches = []
     for i, pd in enumerate(ckpt.patches):
+        _check_patch_record(i, pd, mesh.n_vertices, mesh.n_faces)
         chart = DiskChart(mesh.vertices[pd["vertex_ids"]], pd["faces"], pd["uv"], pd["boundary"],
                           orig_vertex_ids=pd["vertex_ids"], orig_face_ids=pd["orig_face_ids"])
         patches.append(Patch(index=i, center=pd["center"], vertex_ids=pd["vertex_ids"],

@@ -142,6 +142,13 @@ def _ranges(first: np.ndarray, n: np.ndarray) -> np.ndarray:
     return off + np.arange(len(off))
 
 
+def _group_by(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR grouping of keys in [0, n): (indptr (n+1,), order), where
+    order[indptr[k]:indptr[k + 1]] are the positions of key k, ascending."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n))])
+    return indptr, np.argsort(keys, kind="stable")
+
+
 def _parse_tokens(tokens: np.ndarray, dtype) -> tuple[np.ndarray | None, tuple[int, ValueError] | None]:
     """(array, None), or (None, (position, error)) for the first token Python rejects."""
     try:

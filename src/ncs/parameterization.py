@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import NumericError, OutOfChartError, TopologyError
-from .geometry import TriMesh, _ranges, mesh_edges
+from .geometry import TriMesh, _group_by, _ranges, mesh_edges
 
 # barycentric tolerance for point-in-triangle acceptance at shared edges
 _BARY_TOL = 1e-9
@@ -170,9 +170,8 @@ class _LocateGrid:
         fid = np.repeat(np.arange(nf), counts)
         k = _ranges(np.zeros_like(counts), counts)
         cell = (i0[fid, 1] + k // nx[fid]) * self.res + i0[fid, 0] + k % nx[fid]
-        order = np.argsort(cell, kind="stable")
+        self.starts, order = _group_by(cell, self.res * self.res + 1)
         self.face_ids = fid[order]
-        self.starts = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=self.res * self.res + 1))])
 
     def cells(self, q: np.ndarray) -> np.ndarray:
         """Bucket index of each point (N,2); the empty bucket res * res outside the grid."""

@@ -18,9 +18,10 @@ tested against. `pair_boundary_distances` sorts the pairs by patch once and
 evaluates each patch's rows against its lines in blocks of `_BLOCK_ROWS` rows, so
 the (rows, lines) block stays in the L2 cache instead of streaming through memory.
 
-A PatchSet is built from its patches alone: it derives `face_cover` and
-`vertex_cover` (the patches holding each face and vertex, in ascending patch
-order) from each chart's `orig_face_ids` and each patch's `vertex_ids`.
+A PatchSet is built from its patches alone. Its `face_cover` and `vertex_cover`
+are CSR pairs (indptr, patch ids), one stable group-by each of the charts'
+`orig_face_ids` and the patches' `vertex_ids`: element k is held by the patches
+ids[indptr[k]:indptr[k + 1]], ascending, and np.diff(indptr) counts them.
 Extraction reads the mesh's connectivity as arrays: the `edge_graph` CSR for
 geodesic balls and one-rings, CSR incident faces, and a sparse face adjacency
 built from `geometry.mesh_edges` for the component search.
@@ -36,7 +37,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import CoverageError, MeshError, OutOfChartError, TopologyError
-from .geometry import TriMesh, _ranges, edge_graph, mesh_edges, mesh_extent
+from .geometry import TriMesh, _group_by, _ranges, edge_graph, mesh_edges, mesh_extent
 from .parameterization import DiskChart, chart_distortion, embed_disk
 
 _MAX_SHRINKS = 3
@@ -69,25 +70,31 @@ class PatchSet:
     seed: int
     n_vertices: int
     n_faces: int
-    # per face / vertex: the ascending indices of the patches that hold it
-    face_cover: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    vertex_cover: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    # per face / vertex, CSR (indptr (n+1,), patch ids): element k is held by the
+    # patches ids[indptr[k]:indptr[k + 1]], ascending
+    face_cover: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    vertex_cover: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _face_uv: np.ndarray = field(init=False, repr=False, compare=False)
+    _uncovered_faces: np.ndarray = field(init=False, repr=False, compare=False)
     _line_pack: list | None = field(default=None, init=False, repr=False, compare=False)
-    _face_pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.face_cover = _cover([p.chart.orig_face_ids for p in self.patches], self.n_faces)
-        self.vertex_cover = _cover([p.vertex_ids for p in self.patches], self.n_vertices)
+        charts = [p.chart for p in self.patches]
+        self.face_cover, rows = _cover([c.orig_face_ids for c in charts], self.n_faces)
+        self.vertex_cover = _cover([p.vertex_ids for p in self.patches], self.n_vertices)[0]
+        # the face grouping's permutation orders the charts' corner uv like face_cover
+        self._face_uv = np.concatenate([np.empty((0, 3, 2)), *(c.uv[c.faces] for c in charts)])[rows]
+        self._uncovered_faces = np.flatnonzero(np.diff(self.face_cover[0]) == 0)
 
     @property
     def n_patches(self) -> int:
         return len(self.patches)
 
     def mean_overlap(self) -> float:
-        return float(np.mean([len(c) for c in self.vertex_cover]))
+        return float(np.mean(np.diff(self.vertex_cover[0])))
 
     def overlap_histogram(self) -> dict[int, int]:
-        counts = np.array([len(c) for c in self.vertex_cover])
+        counts = np.diff(self.vertex_cover[0])
         return {int(k): int((counts == k).sum()) for k in np.unique(counts)}
 
     def line_pack(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -116,47 +123,24 @@ class PatchSet:
     def face_pair_table(self):
         """Per-face (patch, corner uv) pairs as CSR arrays (offsets (F+1,), patch (T,),
         uv (T,3,2)): face f's pairs are rows offsets[f]:offsets[f + 1], in face_cover
-        order, and uv holds the patch-chart uv of the face's three corners."""
-        if self._face_pairs is None:
-            counts = np.array([len(c) for c in self.face_cover], dtype=np.int64)
-            if (counts == 0).any():
-                raise CoverageError(f"face {int(np.argmin(counts))} is covered by no patch")
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            pair_patch = np.concatenate(self.face_cover)
-            pair_face = np.repeat(np.arange(self.n_faces), counts)
-            # every patch face as one sorted key (orig face, patch) -> its corner uv
-            charts = [p.chart for p in self.patches]
-            keys = np.concatenate([c.orig_face_ids * self.n_patches + i for i, c in enumerate(charts)])
-            corner_uv = np.concatenate([c.uv[c.faces] for c in charts])
-            order = np.argsort(keys)
-            keys = keys[order]
-            want = pair_face * self.n_patches + pair_patch
-            pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-            if (keys[pos] != want).any():
-                raise CoverageError("face_cover lists a patch that does not contain the face")
-            self._face_pairs = (offsets, pair_patch, corner_uv[order[pos]])
-        return self._face_pairs
+        order, and uv holds the patch-chart uv of the face's three corners. The
+        offsets and patch ids are face_cover's own arrays."""
+        if len(self._uncovered_faces):
+            raise CoverageError(f"face {self._uncovered_faces[0]} is covered by no patch")
+        return (*self.face_cover, self._face_uv)
 
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
-def _group_by(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (indptr (n+1,), grouped values): row k holds the values whose key
-    is k, in input order."""
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n))])
-    return indptr, values[np.argsort(keys, kind="stable")]
-
-
-def _cover(members: list[np.ndarray], n: int) -> list[np.ndarray]:
-    """For each element id in [0, n), the ascending indices of the member lists
-    that hold it."""
+def _cover(members: list[np.ndarray], n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """((indptr, owners), order): the CSR cover of ids [0, n) by the member lists,
+    owners ascending, and the permutation that groups the concatenated members."""
     ids = np.concatenate([np.empty(0, dtype=np.int64), *members])
     owner = np.repeat(np.arange(len(members)), [len(m) for m in members])
-    indptr, grouped = _group_by(ids, owner, n)
-    # slicing: np.split costs three times as much for many short rows
-    return [grouped[a:b] for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    indptr, order = _group_by(ids, n)
+    return (indptr, owner[order]), order
 
 
 def _face_adjacency(edge_of: np.ndarray) -> csr_matrix:
@@ -201,7 +185,8 @@ def extract_patches(mesh: TriMesh, radius_frac: float, forbid_prob: float, seed:
 
     graph = edge_graph(mesh)
     radius = radius_frac * mesh_extent(mesh)
-    inc_ptr, inc_faces = _group_by(mesh.faces.ravel(), np.repeat(np.arange(nf), 3), nv)
+    inc_ptr, order = _group_by(mesh.faces.ravel(), nv)
+    inc_faces = order // 3
     adj = _face_adjacency(mesh_edges(mesh.faces)[1])
     rng = np.random.default_rng(seed)
 
@@ -252,7 +237,7 @@ def extract_patches(mesh: TriMesh, radius_frac: float, forbid_prob: float, seed:
         forbidden[newly] = True
         patches.append(Patch(index=len(patches), center=center, vertex_ids=vids, chart=chart, forbade=newly))
 
-    pset = PatchSet(
+    return PatchSet(
         patches=patches,
         radius_frac=float(radius_frac),
         forbid_prob=float(forbid_prob),
@@ -261,9 +246,6 @@ def extract_patches(mesh: TriMesh, radius_frac: float, forbid_prob: float, seed:
         n_vertices=nv,
         n_faces=nf,
     )
-    if any(len(c) == 0 for c in pset.vertex_cover):
-        raise CoverageError("internal: some vertex remained uncovered")
-    return pset
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +304,10 @@ def pair_boundary_distances(patchset: PatchSet, pair_patch: np.ndarray, pair_uv:
     """
     pack = patchset.line_pack()
     pair_patch = np.asarray(pair_patch, dtype=np.int64)
-    order = np.argsort(pair_patch, kind="stable")
-    uv = np.asarray(pair_uv, dtype=np.float64).reshape(-1, 2)[order]
-    bounds = np.searchsorted(pair_patch[order], np.arange(len(pack) + 1))
-    if bounds[0] != 0 or bounds[-1] != len(order):
+    if len(pair_patch) and not 0 <= pair_patch.min() <= pair_patch.max() < len(pack):
         raise IndexError(f"patch id out of range [0, {len(pack)})")
+    bounds, order = _group_by(pair_patch, len(pack))
+    uv = np.asarray(pair_uv, dtype=np.float64).reshape(-1, 2)[order]
     res = np.empty(len(order))
     for (w, c), lo, hi in zip(pack, bounds[:-1].tolist(), bounds[1:].tolist()):
         s = lo
@@ -397,7 +378,7 @@ def blend_weights(patchset: PatchSet, global_chart: DiskChart, q) -> list[tuple[
 
 def patch_rows(patchset: PatchSet) -> list[dict]:
     """Per-patch diagnostic rows for the patches CSV."""
-    cover_counts = np.array([len(c) for c in patchset.vertex_cover])
+    cover_counts = np.diff(patchset.vertex_cover[0])
     rows = []
     for p in patchset.patches:
         scale, conformal = chart_distortion(p.chart)

@@ -96,20 +96,9 @@ class TrainContext:
 
 
 def build_context(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet) -> TrainContext:
-    uv = global_chart.uv
-    face_uv = uv[mesh.faces]
-    face_xyz = mesh.vertices[mesh.faces]
-    areas = face_areas(mesh)
-    cum = np.cumsum(areas)
-    patchset.face_pair_table()  # built here, so batches never pay for it
-    return TrainContext(
-        mesh=mesh,
-        global_chart=global_chart,
-        patchset=patchset,
-        face_uv=face_uv,
-        face_xyz=face_xyz,
-        area_cum=cum,
-    )
+    return TrainContext(mesh=mesh, global_chart=global_chart, patchset=patchset,
+                        face_uv=global_chart.uv[mesh.faces], face_xyz=mesh.vertices[mesh.faces],
+                        area_cum=np.cumsum(face_areas(mesh)))
 
 
 def batch_at(ctx: TrainContext, faces: np.ndarray, bary: np.ndarray) -> TrainBatch:

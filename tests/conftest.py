@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 import zlib
@@ -25,6 +26,12 @@ def manual_patchset(mesh, vertex_masks):
         patches=patches, radius_frac=0.5, forbid_prob=0.0, radius=1.0, seed=0,
         n_vertices=mesh.n_vertices, n_faces=mesh.n_faces,
     )
+
+
+def cover_of(cover, k):
+    """The patch ids that a CSR cover (indptr, ids) lists for element k."""
+    indptr, ids = cover
+    return ids[indptr[k]:indptr[k + 1]]
 
 
 def interior_system(chart):
@@ -69,6 +76,46 @@ def pack_checkpoint(meta, records) -> bytes:
     payload = struct.pack("<I", len(mb)) + mb + b"".join(records)
     return (ck.MAGIC + struct.pack("<IQ", ck.VERSION, len(payload)) + payload
             + struct.pack("<I", zlib.crc32(payload)))
+
+
+# ways to break one patch's records that restore_state must reject: kind -> (record,
+# what its entries index: "vertices"/"faces" of the mesh, "local" patch vertices,
+# or None)
+PATCH_RECORD_EDITS = {
+    "vertex_id_range": ("vertex_ids", "vertices"),
+    "vertex_id_repeat": ("vertex_ids", None),
+    "face_corner_range": ("faces", "local"),
+    "boundary_range": ("boundary", "local"),
+    "uv_short": ("uv", None),
+    "orig_face_range": ("orig_face_ids", "faces"),
+    "orig_face_repeat": ("orig_face_ids", None),
+    "orig_face_short": ("orig_face_ids", None),
+}
+
+
+def break_patch_record(records, kind, patch, pick):
+    """The raw records with one record of patch `patch` broken as `kind` (a key of
+    PATCH_RECORD_EDITS) says: an entry set out of range (below 0 or at least the
+    bound), an entry repeating the one before it, or the last row dropped.
+    pick(lo, hi) returns an int in [lo, hi] and makes every choice."""
+    arrays = [ck._read_record(memoryview(r), 0)[:2] for r in records]
+    names = [name for name, _ in arrays]
+    key, bound = PATCH_RECORD_EDITS[kind]
+    name = f"patch{patch}.{key}"
+    a = arrays[names.index(name)][1]
+    flat = a.reshape(-1)
+    k = pick(0, len(flat) - 1)
+    if kind.endswith("_range"):
+        n = {"vertices": "mesh.vertices", "faces": "mesh.faces",
+             "local": f"patch{patch}.vertex_ids"}[bound]
+        flat[k] = -pick(1, 3) if pick(0, 1) else len(arrays[names.index(n)][1]) + pick(0, 3)
+    elif kind.endswith("_repeat"):
+        flat[max(k, 1)] = flat[max(k, 1) - 1]
+    else:
+        a = a[:-1]
+    buf = io.BytesIO()
+    ck._write_record(buf, name, a)
+    return [buf.getvalue() if n == name else r for n, r in zip(names, records)]
 
 
 @pytest.fixture(scope="session")

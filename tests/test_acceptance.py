@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import cover_of
 from ncs import autodiff as ad, synth
 from ncs import model as mo
 from ncs import training as tr
@@ -315,7 +316,7 @@ def test_criterion_5_parameterization():
             if loc is None:
                 continue
             lift_g = chart_lift(chart, ChartPoint(q, loc[0], loc[1]))
-            for pid in ps.face_cover[loc[0]]:
+            for pid in cover_of(ps.face_cover, loc[0]):
                 cp = global_to_local(chart, ps.patches[pid].chart, q)
                 checked += 1
                 if cp is None or not np.array_equal(chart_lift(ps.patches[pid].chart, cp), lift_g):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pack_checkpoint, split_checkpoint
+from conftest import PATCH_RECORD_EDITS, break_patch_record, pack_checkpoint, split_checkpoint
 from ncs import autodiff as ad
 from ncs import checkpoint as ck
 from ncs import model as mo
@@ -77,8 +77,10 @@ class TestRoundTrip:
         path, (mesh, chart, patchset, params) = saved
         _, _, rps, _ = ck.restore_state(ck.load_checkpoint(path))
         assert rps.n_patches == patchset.n_patches
-        for a, b in zip(rps.face_cover, patchset.face_cover):
-            assert np.array_equal(a, b)
+        for got, want in [(rps.face_cover, patchset.face_cover),
+                          (rps.vertex_cover, patchset.vertex_cover),
+                          (rps.face_pair_table(), patchset.face_pair_table())]:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
     def test_optimizer_state_round_trip(self, bumpy16, small_arch, tmp_path):
         mesh, chart, patchset, ctx = bumpy16
@@ -165,7 +167,7 @@ class TestMalformed:
     META_KEYS = ["config_text", "iteration", "n_patches", "patch_meta", "patch_centers", "arch"]
     EDITS = ["drop_key", "bad_json", "not_object", "extra_patch", "arch_key", "arch_width",
              "cnn_blocks", "code_shape", "mode", "dtype_code", "dim", "cut", "drop_record",
-             "drop_opt", "reshape_opt"]
+             "drop_opt", "reshape_opt", *PATCH_RECORD_EDITS]
 
     @staticmethod
     def _edit(edit, meta, records, draw):
@@ -214,6 +216,9 @@ class TestMalformed:
         elif edit == "reshape_opt":
             k = records.index(draw(st.sampled_from(TestMalformed._opt_records(records))))
             records[k] = TestMalformed._reshaped(records[k])
+        elif edit in PATCH_RECORD_EDITS:
+            patch = draw(st.integers(0, meta["n_patches"] - 1))
+            records = break_patch_record(records, edit, patch, lambda lo, hi: draw(st.integers(lo, hi)))
         return meta, records
 
     @staticmethod
@@ -231,7 +236,7 @@ class TestMalformed:
         return (rec[:2 + nlen] + struct.pack(f"<BB{len(shape)}I", code, len(shape), *shape)
                 + body)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(mode=st.sampled_from(["vector", "pca"]), edit=st.sampled_from(EDITS), data=st.data())
     def test_edit_raises_checkpoint_error(self, pristine_files, mode, edit, data):
         path, blob = pristine_files[mode]

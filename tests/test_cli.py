@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import pack_checkpoint, split_checkpoint
+from conftest import PATCH_RECORD_EDITS, break_patch_record, pack_checkpoint, split_checkpoint
 from ncs import synth
 from ncs.cli import main
 from ncs.config import parse_config_text
@@ -186,6 +186,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint: ") and "Traceback" not in err
         assert not (tmp_path / "o.obj").exists()
+
+    @pytest.mark.parametrize("pick", [min, max], ids=["first_above", "last_below"])
+    @pytest.mark.parametrize("kind", list(PATCH_RECORD_EDITS))
+    def test_malformed_patch_record_is_2(self, fitted_run, tmp_path, kind, pick, capsys):
+        # min edits the first entry, setting it to the bound; max edits the last
+        # entry, setting it to -3
+        _, out = fitted_run
+        meta, records = split_checkpoint((out / "model.ncs").read_bytes())
+        records = break_patch_record(records, kind, meta["n_patches"] - 1, pick)
+        bad = tmp_path / "bad.ncs"
+        bad.write_bytes(pack_checkpoint(meta, records))
+        assert main(["reconstruct", str(bad), "-o", str(tmp_path / "o.obj")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         lambda model, tmp: ["reconstruct", str(tmp / "missing.ncs")],

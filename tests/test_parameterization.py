@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from conftest import dense_interior_uv, interior_system
+from conftest import cover_of, dense_interior_uv, interior_system
 from ncs import parameterization as par
 from ncs import synth
 from ncs.errors import NumericError, OutOfChartError, TopologyError
@@ -299,7 +299,7 @@ class TestGlobalToLocal:
             loc = chart.locate(q)
             if loc is None:
                 continue
-            for pid in patchset.face_cover[loc[0]]:
+            for pid in cover_of(patchset.face_cover, loc[0]):
                 cp = global_to_local(chart, patchset.patches[pid].chart, q)
                 assert cp is not None
                 a = chart_lift(chart, ChartPoint(q, loc[0], loc[1]))

@@ -1,9 +1,10 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import dense_interior_uv
+from conftest import cover_of, dense_interior_uv
 from ncs import synth
 from ncs.errors import MeshError, OutOfChartError
 from ncs.geometry import TriMesh, normalize_unit_sphere
@@ -16,7 +17,8 @@ from ncs.patching import (_BLOCK_ROWS, blend_weights, boundary_signed_distance, 
 SPHERE_GOLDEN_PATCH_COUNT = 345
 # frozen: sha256 of discrete_digest (everything but uv) for these extractions,
 # recorded with the per-element Python cover and topology loops that the array code
-# replaced; any drift in the bytes, including the order within face_cover, fails.
+# replaced, and kept when the covers became CSR arrays; any drift in the bytes,
+# including the order within a face's cover, fails.
 # uv moves by rounding with the solver, so it is checked against a dense solve
 PATCHSET_GOLDEN_DIGESTS = {
     "saddle16": (lambda: synth.saddle(16), 0.3, 0.5, 7,
@@ -28,7 +30,8 @@ PATCHSET_GOLDEN_DIGESTS = {
 
 def discrete_digest(ps):
     """sha256 over each patch's center, vertex ids, chart faces, orig face ids,
-    boundary and forbids, then both covers; every array length-prefixed."""
+    boundary and forbids, then each face's and each vertex's slice of the CSR
+    covers; every array length-prefixed."""
     h = hashlib.sha256()
 
     def put(a, dtype):
@@ -44,8 +47,8 @@ def discrete_digest(ps):
         put(p.chart.boundary, np.int64)
         put(p.forbade, np.int64)
     for cover in (ps.face_cover, ps.vertex_cover):
-        for c in cover:
-            put(c, np.int64)
+        for k in range(len(cover[0]) - 1):
+            put(cover_of(cover, k), np.int64)
     return h.hexdigest()
 
 
@@ -63,13 +66,13 @@ class TestExtraction:
         mesh = normalize_unit_sphere(synth.plane(4))
         ps = extract_patches(mesh, 3.0, 0.0, seed=0)
         assert ps.n_patches == 1
-        assert all(len(c) >= 1 for c in ps.vertex_cover)
+        assert (np.diff(ps.vertex_cover[0]) >= 1).all()
 
     def test_eta_one_coverage_and_disjoint_forbids(self):
         mesh = normalize_unit_sphere(synth.bumpy_plane(20))
         ps = extract_patches(mesh, 0.3, 1.0, seed=2)
-        assert all(len(c) >= 1 for c in ps.vertex_cover)
-        assert all(len(c) >= 1 for c in ps.face_cover)
+        assert (np.diff(ps.vertex_cover[0]) >= 1).all()
+        assert (np.diff(ps.face_cover[0]) >= 1).all()
         seen = set()
         for p in ps.patches:
             forb = set(p.forbade.tolist())
@@ -78,7 +81,7 @@ class TestExtraction:
 
     def test_full_coverage_of_faces(self, bumpy16):
         mesh, _, patchset, _ = bumpy16
-        assert all(len(c) >= 1 for c in patchset.face_cover)
+        assert (np.diff(patchset.face_cover[0]) >= 1).all()
 
     def test_determinism_bit_reproducible(self):
         mesh = normalize_unit_sphere(synth.saddle(16))
@@ -326,7 +329,7 @@ class TestBlendWeights:
             rows = vb.pair_sample == vid
             batched = {int(p): float(w) for p, w in zip(vb.pair_patch[rows], vb.pair_w[rows]) if w > 0}
             point = dict(blend_weights(patchset, chart, chart.uv[vid]))
-            cover = set(patchset.vertex_cover[vid].tolist())
+            cover = set(cover_of(patchset.vertex_cover, vid).tolist())
             if all(vid in rim[pid] for pid in cover):
                 n_rim += 1
                 for w in (point, batched):
@@ -389,3 +392,37 @@ class TestDiagnostics:
         hist = patchset.overlap_histogram()
         assert sum(hist.values()) == patchset.n_vertices
         assert patchset.mean_overlap() >= 1.0
+        # against a count made from the patches' vertex lists alone
+        counts = np.bincount(np.concatenate([p.vertex_ids for p in patchset.patches]),
+                             minlength=patchset.n_vertices)
+        assert hist == dict(Counter(counts.tolist()))
+        assert patchset.mean_overlap() == counts.mean()
+        for row, p in zip(patch_rows(patchset), patchset.patches, strict=True):
+            assert row["mean_overlap"] == counts[p.vertex_ids].mean()
+
+
+class TestCovers:
+    @pytest.mark.parametrize("case", ["bumpy16", "two_strip"])
+    def test_face_pair_table_matches_charts(self, case, request):
+        # each pair's uv is its patch chart's corner uv of that face, and the table's
+        # offsets and patch ids are the face cover, which lists exactly the patches
+        # whose charts hold the face, ascending
+        ps = request.getfixturevalue(case)[2]
+        offsets, pair_patch, pair_uv = ps.face_pair_table()
+        assert np.array_equal(offsets, ps.face_cover[0])
+        assert np.array_equal(pair_patch, ps.face_cover[1])
+        holders = [[] for _ in range(ps.n_faces)]
+        for i, p in enumerate(ps.patches):
+            for f in p.chart.orig_face_ids.tolist():
+                holders[f].append(i)
+        for f in range(ps.n_faces):
+            assert cover_of(ps.face_cover, f).tolist() == holders[f]
+            for r in range(offsets[f], offsets[f + 1]):
+                chart = ps.patches[pair_patch[r]].chart
+                assert np.array_equal(pair_uv[r], chart.uv[chart.faces[chart.face_of_orig(f)]])
+
+    def test_manual_vertex_cover(self, two_strip):
+        mesh, _, ps, n = two_strip
+        col = np.arange(mesh.n_vertices) // n
+        want = [[0] * (c <= 5) + [1] * (c >= 3) for c in col.tolist()]
+        assert [cover_of(ps.vertex_cover, v).tolist() for v in range(mesh.n_vertices)] == want
