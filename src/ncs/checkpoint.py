@@ -235,24 +235,30 @@ def checkpoint_from_state(config_text: str, iteration: int, mesh: TriMesh,
     )
 
 
+def _check_records(prefix: str, records: dict, table) -> None:
+    """CheckpointError unless every row (key, shape, bound, increasing) of table holds
+    for records[key]: that shape, integer entries in [0, bound) unless bound is None,
+    and strictly increasing entries where asked. The error names the record as
+    `{prefix}.{key}`, its name in the checkpoint file."""
+    for key, shape, bound, increasing in table:
+        a = records[key]
+        ok = a.shape == shape and (bound is None or a.dtype.kind == "i" and (
+            a.size == 0 or 0 <= a.min() <= a.max() < bound))
+        if not ok or increasing and not (np.diff(a) > 0).all():
+            raise CheckpointError(f"{prefix}.{key} record does not fit the mesh or its chart")
+
+
 def _check_patch_record(i: int, pd: dict, n_vertices: int, n_faces: int) -> None:
     """CheckpointError unless patch record i indexes consistently, as the patch set's
     covers and face pair table assume: parent vertex and face ids strictly increasing
     and in range, one face id per chart face, chart faces and boundary within the
     patch's vertices, and one uv row per vertex."""
     n, nf = pd["vertex_ids"].size, pd["faces"].size // 3
-    # record, its shape, the bound of its integer entries (None: not indices), and
-    # whether they must strictly increase
-    for key, shape, bound, increasing in [("vertex_ids", (n,), n_vertices, True),
-                                          ("faces", (nf, 3), n, False),
-                                          ("orig_face_ids", (nf,), n_faces, True),
-                                          ("boundary", (pd["boundary"].size,), n, False),
-                                          ("uv", (n, 2), None, False)]:
-        a = pd[key]
-        ok = a.shape == shape and (bound is None or a.dtype.kind == "i" and (
-            a.size == 0 or 0 <= a.min() <= a.max() < bound))
-        if not ok or increasing and not (np.diff(a) > 0).all():
-            raise CheckpointError(f"patch {i}: {key} record does not fit the mesh or the patch")
+    _check_records(f"patch{i}", pd, [("vertex_ids", (n,), n_vertices, True),
+                                     ("faces", (nf, 3), n, False),
+                                     ("orig_face_ids", (nf,), n_faces, True),
+                                     ("boundary", (pd["boundary"].size,), n, False),
+                                     ("uv", (n, 2), None, False)])
 
 
 def restore_state(ckpt: Checkpoint):
@@ -261,8 +267,12 @@ def restore_state(ckpt: Checkpoint):
     The model is built fresh for the stored arch and takes each stored tensor by
     name; a tensor set, tensor shape, non-empty optimizer state set or shape, or pca
     frame set that does not fit that arch raises CheckpointError, as does a patch
-    record that does not index into the mesh and its own vertices."""
+    record that does not index into the mesh and its own vertices, or a global uv
+    record without one row per mesh vertex or boundary record outside the mesh."""
     mesh = TriMesh(ckpt.mesh_vertices, ckpt.mesh_faces, uv=ckpt.global_uv.copy())
+    _check_records("global", {"uv": ckpt.global_uv, "boundary": ckpt.global_boundary},
+                   [("uv", (mesh.n_vertices, 2), None, False),
+                    ("boundary", (ckpt.global_boundary.size,), mesh.n_vertices, False)])
     global_chart = DiskChart(mesh.vertices, mesh.faces, ckpt.global_uv, ckpt.global_boundary)
 
     patches = []

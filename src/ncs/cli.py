@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 2 config/input error (including a missing or unwritable file and
 a malformed checkpoint), 3 topology error, 4 numeric error.
-NCS_WORKERS (default 1) fans evaluation-time point queries out over threads;
-chunk boundaries are fixed, so results do not depend on the worker count.
+NCS_WORKERS (default 1) fans evaluation-time point queries out over threads: model
+evaluation in fixed chunks, and the Chamfer nearest-neighbour searches, where each
+distance is found alone; so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _chamfer_vs_mesh(recon: TriMesh, gt: TriMesh, n_samples: int) -> float:
     # same seed on both sides: evaluating a mesh against itself gives exactly 0
     a, _, _ = sample_surface_arrays(recon, n_samples, _EVAL_SEED)
     b, _, _ = sample_surface_arrays(gt, n_samples, _EVAL_SEED)
-    return chamfer_distance(a, b)
+    return chamfer_distance(a, b, workers=_workers())
 
 
 def _chart_fingerprint(ck: ckpt_io.Checkpoint) -> str:

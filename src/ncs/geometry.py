@@ -4,6 +4,13 @@ and bidirectional Chamfer evaluation.
 Chamfer convention used everywhere in this package: the mean over A of squared
 nearest-neighbor distance into B, plus the mean over B of squared nearest-neighbor
 distance into A. Reported numbers elsewhere multiply this by 1e3.
+
+The nearest-neighbor search is exact. Each point set gets one KD-tree with
+sliding-midpoint splits and boxes that are not shrunk to the data (Maneewongvatana
+and Mount 1999), which keeps the search fast when the two sets lie far apart.
+Each set queries the other's tree in its own tree's leaf order, so consecutive
+queries are neighbours. The distances go back to sample order before each mean, so
+the summation order, and the result, are those of queries in sample order.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ log = logging.getLogger(__name__)
 _DEGENERATE_AREA = 1e-14
 # rows per formatted block in export_mesh: a few MB of text at a time
 _EXPORT_CHUNK_ROWS = 65536
+# points per leaf of a Chamfer KD-tree
+_CHAMFER_LEAFSIZE = 32
 
 
 @dataclass
@@ -283,16 +292,31 @@ def sample_surface_arrays(mesh: TriMesh, n: int, seed: int) -> tuple[np.ndarray,
     return pos, faces, bary
 
 
-def _nn_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distance from each row of a to its nearest row of b."""
-    d, _ = cKDTree(b).query(a, workers=1)
+def _chamfer_tree(p: np.ndarray) -> cKDTree:
+    """Sliding-midpoint KD-tree whose boxes are not shrunk to the data."""
+    return cKDTree(p, leafsize=_CHAMFER_LEAFSIZE, balanced_tree=False, compact_nodes=False)
+
+
+def _nn_squared(q: np.ndarray, own_tree: cKDTree, other_tree: cKDTree, workers: int = 1) -> np.ndarray:
+    """Squared distance from each row of q to its nearest point of other_tree.
+
+    own_tree is the tree built on q: the rows are queried in its leaf order, so
+    consecutive queries are neighbours, and scattered back to the order of q.
+    """
+    order = own_tree.indices
+    d = np.empty(len(q))
+    d[order], _ = other_tree.query(q[order], workers=workers)
     return d * d
 
 
-def chamfer_distance(a, b) -> float:
-    """Bidirectional Chamfer distance between two point sets (see module docstring)."""
+def chamfer_distance(a, b, workers: int = 1) -> float:
+    """Bidirectional Chamfer distance between two point sets (see module docstring).
+
+    workers threads share each query; the result does not depend on their number.
+    """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 3)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 3)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer distance of an empty point set")
-    return float(_nn_squared(a, b).mean() + _nn_squared(b, a).mean())
+    ta, tb = _chamfer_tree(a), _chamfer_tree(b)
+    return float(_nn_squared(a, ta, tb, workers).mean() + _nn_squared(b, tb, ta, workers).mean())

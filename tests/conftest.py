@@ -78,37 +78,37 @@ def pack_checkpoint(meta, records) -> bytes:
             + struct.pack("<I", zlib.crc32(payload)))
 
 
-# ways to break one patch's records that restore_state must reject: kind -> (record,
-# what its entries index: "vertices"/"faces" of the mesh, "local" patch vertices,
-# or None)
-PATCH_RECORD_EDITS = {
-    "vertex_id_range": ("vertex_ids", "vertices"),
-    "vertex_id_repeat": ("vertex_ids", None),
-    "face_corner_range": ("faces", "local"),
-    "boundary_range": ("boundary", "local"),
-    "uv_short": ("uv", None),
-    "orig_face_range": ("orig_face_ids", "faces"),
-    "orig_face_repeat": ("orig_face_ids", None),
-    "orig_face_short": ("orig_face_ids", None),
+# ways to break one record that restore_state must reject: kind -> (record name, and
+# the record whose length bounds its entries, or None); "{}" stands for the patch index
+RECORD_EDITS = {
+    "vertex_id_range": ("patch{}.vertex_ids", "mesh.vertices"),
+    "vertex_id_repeat": ("patch{}.vertex_ids", None),
+    "face_corner_range": ("patch{}.faces", "patch{}.vertex_ids"),
+    "boundary_range": ("patch{}.boundary", "patch{}.vertex_ids"),
+    "uv_short": ("patch{}.uv", None),
+    "orig_face_range": ("patch{}.orig_face_ids", "mesh.faces"),
+    "orig_face_repeat": ("patch{}.orig_face_ids", None),
+    "orig_face_short": ("patch{}.orig_face_ids", None),
+    "global_uv_short": ("global.uv", None),
+    "global_boundary_range": ("global.boundary", "mesh.vertices"),
 }
+PATCH_RECORD_EDITS = [k for k, (name, _) in RECORD_EDITS.items() if name.startswith("patch")]
+GLOBAL_RECORD_EDITS = [k for k in RECORD_EDITS if k not in PATCH_RECORD_EDITS]
 
 
-def break_patch_record(records, kind, patch, pick):
-    """The raw records with one record of patch `patch` broken as `kind` (a key of
-    PATCH_RECORD_EDITS) says: an entry set out of range (below 0 or at least the
-    bound), an entry repeating the one before it, or the last row dropped.
+def break_record(records, kind, patch, pick):
+    """The raw records with one record (of patch `patch`, for a patch record) broken as
+    `kind` (a key of RECORD_EDITS) says: an entry set out of range (below 0 or at least
+    the bound), an entry repeating the one before it, or the last row dropped.
     pick(lo, hi) returns an int in [lo, hi] and makes every choice."""
     arrays = [ck._read_record(memoryview(r), 0)[:2] for r in records]
     names = [name for name, _ in arrays]
-    key, bound = PATCH_RECORD_EDITS[kind]
-    name = f"patch{patch}.{key}"
+    name, bound = (n and n.format(patch) for n in RECORD_EDITS[kind])
     a = arrays[names.index(name)][1]
     flat = a.reshape(-1)
     k = pick(0, len(flat) - 1)
     if kind.endswith("_range"):
-        n = {"vertices": "mesh.vertices", "faces": "mesh.faces",
-             "local": f"patch{patch}.vertex_ids"}[bound]
-        flat[k] = -pick(1, 3) if pick(0, 1) else len(arrays[names.index(n)][1]) + pick(0, 3)
+        flat[k] = -pick(1, 3) if pick(0, 1) else len(arrays[names.index(bound)][1]) + pick(0, 3)
     elif kind.endswith("_repeat"):
         flat[max(k, 1)] = flat[max(k, 1) - 1]
     else:

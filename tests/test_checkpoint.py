@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PATCH_RECORD_EDITS, break_patch_record, pack_checkpoint, split_checkpoint
+from conftest import GLOBAL_RECORD_EDITS, RECORD_EDITS, break_record, pack_checkpoint, split_checkpoint
 from ncs import autodiff as ad
 from ncs import checkpoint as ck
 from ncs import model as mo
@@ -167,7 +167,7 @@ class TestMalformed:
     META_KEYS = ["config_text", "iteration", "n_patches", "patch_meta", "patch_centers", "arch"]
     EDITS = ["drop_key", "bad_json", "not_object", "extra_patch", "arch_key", "arch_width",
              "cnn_blocks", "code_shape", "mode", "dtype_code", "dim", "cut", "drop_record",
-             "drop_opt", "reshape_opt", *PATCH_RECORD_EDITS]
+             "drop_opt", "reshape_opt", *RECORD_EDITS]
 
     @staticmethod
     def _edit(edit, meta, records, draw):
@@ -216,9 +216,9 @@ class TestMalformed:
         elif edit == "reshape_opt":
             k = records.index(draw(st.sampled_from(TestMalformed._opt_records(records))))
             records[k] = TestMalformed._reshaped(records[k])
-        elif edit in PATCH_RECORD_EDITS:
+        elif edit in RECORD_EDITS:
             patch = draw(st.integers(0, meta["n_patches"] - 1))
-            records = break_patch_record(records, edit, patch, lambda lo, hi: draw(st.integers(lo, hi)))
+            records = break_record(records, edit, patch, lambda lo, hi: draw(st.integers(lo, hi)))
         return meta, records
 
     @staticmethod
@@ -236,7 +236,7 @@ class TestMalformed:
         return (rec[:2 + nlen] + struct.pack(f"<BB{len(shape)}I", code, len(shape), *shape)
                 + body)
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=130, deadline=None)
     @given(mode=st.sampled_from(["vector", "pca"]), edit=st.sampled_from(EDITS), data=st.data())
     def test_edit_raises_checkpoint_error(self, pristine_files, mode, edit, data):
         path, blob = pristine_files[mode]
@@ -244,6 +244,16 @@ class TestMalformed:
         meta, records = self._edit(edit, meta, records, data.draw)
         path.write_bytes(pack_checkpoint(meta, records))
         with pytest.raises(CheckpointError):
+            ck.restore_state(ck.load_checkpoint(path))
+
+    @pytest.mark.parametrize("pick", [min, max], ids=["first_above", "last_below"])
+    @pytest.mark.parametrize("kind", GLOBAL_RECORD_EDITS)
+    def test_global_record_edit_names_the_record(self, pristine_files, kind, pick):
+        # min sets the first entry to the bound, max sets the last entry to -3
+        path, blob = pristine_files["vector"]
+        meta, records = split_checkpoint(blob)
+        path.write_bytes(pack_checkpoint(meta, break_record(records, kind, None, pick)))
+        with pytest.raises(CheckpointError, match=rf"^{RECORD_EDITS[kind][0]} record does not fit"):
             ck.restore_state(ck.load_checkpoint(path))
 
     def test_split_and_pack_round_trip(self, pristine_files):

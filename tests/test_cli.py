@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PATCH_RECORD_EDITS, break_patch_record, pack_checkpoint, split_checkpoint
+from conftest import GLOBAL_RECORD_EDITS, PATCH_RECORD_EDITS, break_record, pack_checkpoint, split_checkpoint
 from ncs import synth
 from ncs.cli import main
 from ncs.config import parse_config_text
@@ -187,19 +187,28 @@ class TestExitCodes:
         assert err.startswith("error: checkpoint: ") and "Traceback" not in err
         assert not (tmp_path / "o.obj").exists()
 
-    @pytest.mark.parametrize("pick", [min, max], ids=["first_above", "last_below"])
-    @pytest.mark.parametrize("kind", list(PATCH_RECORD_EDITS))
-    def test_malformed_patch_record_is_2(self, fitted_run, tmp_path, kind, pick, capsys):
+    @staticmethod
+    def _reconstruct_broken(fitted_run, tmp_path, kind, pick, capsys):
         # min edits the first entry, setting it to the bound; max edits the last
         # entry, setting it to -3
         _, out = fitted_run
         meta, records = split_checkpoint((out / "model.ncs").read_bytes())
-        records = break_patch_record(records, kind, meta["n_patches"] - 1, pick)
+        records = break_record(records, kind, meta["n_patches"] - 1, pick)
         bad = tmp_path / "bad.ncs"
         bad.write_bytes(pack_checkpoint(meta, records))
         assert main(["reconstruct", str(bad), "-o", str(tmp_path / "o.obj")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("pick", [min, max], ids=["first_above", "last_below"])
+    @pytest.mark.parametrize("kind", PATCH_RECORD_EDITS)
+    def test_malformed_patch_record_is_2(self, fitted_run, tmp_path, kind, pick, capsys):
+        self._reconstruct_broken(fitted_run, tmp_path, kind, pick, capsys)
+
+    @pytest.mark.parametrize("pick", [min, max], ids=["first_above", "last_below"])
+    @pytest.mark.parametrize("kind", GLOBAL_RECORD_EDITS)
+    def test_malformed_global_record_is_2(self, fitted_run, tmp_path, kind, pick, capsys):
+        self._reconstruct_broken(fitted_run, tmp_path, kind, pick, capsys)
 
     @pytest.mark.parametrize("argv", [
         lambda model, tmp: ["reconstruct", str(tmp / "missing.ncs")],
@@ -426,6 +435,16 @@ class TestWorkers:
             assert main(["reconstruct", str(out / "model.ncs"), "--mode", "dense", "--res", "128",
                          "-o", str(objs[-1])]) == 0
         assert objs[0].read_bytes() == objs[1].read_bytes()
+
+    def test_worker_count_does_not_change_eval(self, fitted_run, mesh_file, tmp_path, monkeypatch):
+        _, out = fitted_run
+        reports = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("NCS_WORKERS", workers)
+            reports.append(tmp_path / f"eval{workers}.json")
+            assert main(["eval", str(out / "model.ncs"), str(mesh_file), "--samples", "20000",
+                         "--json", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_param_table_exact_numbers(self, tmp_path, mesh_file, capsys):
         cfg, out = write_config(tmp_path, mesh_file, warmup=0, total=0)

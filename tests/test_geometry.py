@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 from scipy.stats import chi2
 
 from ncs import synth
 from ncs.errors import MeshError
-from ncs.geometry import (TriMesh, chamfer_distance, edge_graph, export_mesh, face_areas,
-                          load_mesh, normalize_unit_sphere,
+from ncs.geometry import (TriMesh, _chamfer_tree, _nn_squared, chamfer_distance, edge_graph,
+                          export_mesh, face_areas, load_mesh, normalize_unit_sphere,
                           sample_surface_arrays, vertex_geodesics)
 
 
@@ -177,13 +179,59 @@ class TestChamfer:
         with pytest.raises(ValueError):
             chamfer_distance(np.empty((0, 3)), [[0, 0, 0]])
 
+    @staticmethod
+    def _check_both_ways(a, b):
+        """Each direction's per-point squared distances equal the brute-force minimum."""
+        ta, tb = _chamfer_tree(a), _chamfer_tree(b)
+        np.testing.assert_allclose(_nn_squared(a, ta, tb), cdist(a, b, "sqeuclidean").min(axis=1),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(_nn_squared(b, tb, ta), cdist(b, a, "sqeuclidean").min(axis=1),
+                                   rtol=1e-12)
+
     def test_kdtree_matches_bruteforce(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(2500, 3))
         b = rng.normal(size=(120, 3))
-        from ncs.geometry import _nn_squared
-        from scipy.spatial.distance import cdist
-        np.testing.assert_allclose(_nn_squared(a, b), cdist(a, b, "sqeuclidean").min(axis=1), rtol=1e-12)
+        self._check_both_ways(a, b)
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33])
+    def test_sets_around_one_leaf(self, n):
+        rng = np.random.default_rng(n)
+        self._check_both_ways(rng.normal(size=(n, 3)), rng.normal(size=(200, 3)))
+
+    def test_exact_ties(self):
+        # every cell centre is equally far from its cell's 8 grid points
+        grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        centres = grid[(grid < 5).all(axis=1)] + 0.5
+        self._check_both_ways(centres, grid)
+        ta, tg = _chamfer_tree(centres), _chamfer_tree(grid)
+        d = _nn_squared(centres, ta, tg)
+        assert (d == d[0]).all() and d[0] == pytest.approx(0.75, rel=1e-15)
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(5)
+        b = np.repeat(rng.normal(size=(40, 3)), 3, axis=0)
+        a = np.concatenate([b[::7], rng.normal(size=(300, 3))])
+        self._check_both_ways(a, b)
+
+    def test_flat_grid_from_above(self):
+        xy = np.stack(np.meshgrid(np.linspace(-1, 1, 50), np.linspace(-1, 1, 50)), axis=-1).reshape(-1, 2)
+        flat = np.column_stack([xy, np.zeros(len(xy))])
+        above = np.column_stack([np.random.default_rng(6).uniform(-1, 1, size=(500, 2)),
+                                 np.full(500, 0.5)])
+        self._check_both_ways(above, flat)
+
+    @pytest.mark.parametrize("shift", [1e-3, 0.3], ids=["near", "far"])
+    def test_same_float_as_sample_order_queries(self, shift):
+        mesh = synth.bumpy_plane(64)
+        a, _, _ = sample_surface_arrays(mesh, 20_000, 1)
+        b, _, _ = sample_surface_arrays(mesh, 20_000, 2)
+        b[:, 2] += shift
+        da, _ = cKDTree(b).query(a)
+        db, _ = cKDTree(a).query(b)
+        want = float((da * da).mean() + (db * db).mean())
+        assert chamfer_distance(a, b) == want
+        assert chamfer_distance(a, b, workers=2) == want
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 1000))
