@@ -1,10 +1,13 @@
 """Command-line pipeline: fit, reconstruct, eval, edit, transfer, patches.
 
-Exit codes: 0 ok, 2 config/input error (including a missing or unwritable file and
-a malformed checkpoint), 3 topology error, 4 numeric error.
-NCS_WORKERS (default 1) fans evaluation-time point queries out over threads: model
-evaluation in fixed chunks, and the Chamfer nearest-neighbour searches, where each
-distance is found alone; so results do not depend on the worker count.
+Exit codes: 0 ok, 2 config/input error (including a missing or unwritable file, a
+malformed checkpoint and an NCS_WORKERS that is not an integer >= 1), 3 topology
+error, 4 numeric error.
+NCS_WORKERS (unset or empty: 1) fans evaluation-time point queries out over threads:
+model evaluation in fixed chunks of samples, each building its own blend pairs, and
+the Chamfer nearest-neighbour searches, where each distance is found alone; so
+results do not depend on the worker count. No pair array spans more than one chunk,
+so a dense reconstruct holds little beyond its output mesh at any resolution.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .geometry import TriMesh, chamfer_distance, export_mesh, load_mesh, normali
 from .model import ModelParams, build_model, decode_grids, evaluate_batch, scale_details, transfer_details
 from .parameterization import embed_disk
 from .patching import extract_patches, face_pairs, patch_rows
-from .training import build_context, fit, vertex_batch
+from .training import fit, vertex_samples
 
 log = logging.getLogger("ncs")
 
@@ -41,10 +44,13 @@ _EVAL_SEED = 12345
 
 
 def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NCS_WORKERS", "1")))
-    except ValueError:
+    """The NCS_WORKERS thread count; unset or empty means 1."""
+    text = os.environ.get("NCS_WORKERS", "")
+    if not text:
         return 1
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise ConfigError(f"NCS_WORKERS must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 # exit code and message prefix of every error `main` reports; any other exception is a
@@ -92,75 +98,84 @@ def _restore(path):
         return ck, ckpt_io.restore_state(ck)
 
 
-def _eval_positions(params, q, pair_sample, pair_patch, pair_uv, pair_w, coarse_only=False):
-    """Model positions for prepared query arrays, chunked over NCS_WORKERS threads."""
+def _eval_positions(params, q, faces, bary, patchset, workers=1, coarse_only=False):
+    """Model positions (N, 3) of samples given as chart points q (N, 2) and rows of
+    (parent face, barycentric weights), in fixed chunks over `workers` threads. Each
+    chunk builds its own blend pairs, so no pair array covers more than one chunk."""
     n = len(q)
-    # pair rows grouped by sample id are contiguous, so chunking by sample is safe
-    starts = list(range(0, n, _EVAL_CHUNK))
-    pair_start = np.searchsorted(pair_sample, starts)
-    pair_end = np.append(pair_start[1:], len(pair_sample))
+    positions = np.empty((n, 3))
     grids = None if coarse_only else decode_grids(params)
+    patchset.line_pack()  # built once here, not by each thread
 
-    def run(i):
-        s = starts[i]
+    def run(s):
         e = min(s + _EVAL_CHUNK, n)
-        ps, pe = pair_start[i], pair_end[i]
+        pair_sample, pair_patch, pair_uv, pair_w = face_pairs(patchset, faces[s:e], bary[s:e])
         out, info = evaluate_batch(
-            params, q[s:e], pair_sample[ps:pe] - s, pair_patch[ps:pe],
-            pair_uv[ps:pe], pair_w[ps:pe],
-            coarse_only=coarse_only, grids=grids, degenerate="fallback")
-        return out.data.astype(np.float64), info["frame_fallbacks"]
+            params, q[s:e], pair_sample, pair_patch, pair_uv.astype(np.float32),
+            pair_w.astype(np.float32), coarse_only=coarse_only, grids=grids, degenerate="fallback")
+        positions[s:e] = out.data
+        return info["frame_fallbacks"]
 
-    w = _workers()
-    if w == 1 or len(starts) == 1:
-        results = [run(i) for i in range(len(starts))]
+    starts = range(0, n, _EVAL_CHUNK)
+    if workers == 1 or len(starts) == 1:
+        fallbacks = sum(map(run, starts))
     else:
-        with ThreadPoolExecutor(max_workers=w) as ex:
-            results = list(ex.map(run, range(len(starts))))
-    positions = np.concatenate([r[0] for r in results], axis=0)
-    fallbacks = sum(r[1] for r in results)
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            fallbacks = sum(ex.map(run, starts))
     return positions, fallbacks
 
 
-def _reconstruct_vertices(state, coarse_only=False):
+def _reconstruct_vertices(state, workers=1, coarse_only=False):
     mesh, chart, patchset, params = state
-    ctx = build_context(mesh, chart, patchset)
-    b = vertex_batch(ctx)
-    positions, fallbacks = _eval_positions(params, b.q, b.pair_sample, b.pair_patch,
-                                           b.pair_uv, b.pair_w, coarse_only=coarse_only)
+    faces, bary = vertex_samples(mesh)
+    q = np.einsum("nk,nkd->nd", bary, chart.uv[mesh.faces[faces]]).astype(np.float32)
+    positions, fallbacks = _eval_positions(params, q, faces, bary, patchset, workers, coarse_only)
     return TriMesh(positions, mesh.faces.copy()), fallbacks
 
 
-def _reconstruct_dense(state, res: int):
+def _reconstruct_dense(state, res: int, workers=1):
     _, chart, patchset, params = state
     xs = np.linspace(-1.0, 1.0, res)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")  # grid point ix * res + iy
-    q = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    tri, bary = chart.locate_many(q)
-    inside = tri >= 0
+    # grid point k = ix * res + iy sits at (xs[ix], xs[iy]); the grid is located a
+    # chunk of ids at a time, and only the points inside the chart are kept
+    inside = np.empty(res * res, dtype=bool)
+    kept = []
+    for s in range(0, res * res, _EVAL_CHUNK):
+        k = np.arange(s, min(s + _EVAL_CHUNK, res * res))
+        qc = np.stack([xs[k // res], xs[k % res]], axis=1)
+        tri, bary = chart.locate_many(qc)
+        hit = inside[s:s + len(k)] = tri >= 0
+        kept.append((qc[hit].astype(np.float32), tri[hit], bary[hit]))
     if not inside.any():
         raise NumericError("dense grid found no points inside the chart image")
-    pair_sample, pair_patch, pair_uv, pair_w = face_pairs(patchset, tri[inside], bary[inside])
-    positions, fallbacks = _eval_positions(params, q[inside].astype(np.float32), pair_sample,
-                                           pair_patch, pair_uv.astype(np.float32),
-                                           pair_w.astype(np.float32))
+    q, faces, bary = (np.concatenate(a) for a in zip(*kept))
+    del kept
+    # the global chart's faces are the mesh's, so its triangle ids are parent faces
+    positions, fallbacks = _eval_positions(params, q, faces, bary, patchset, workers)
+    del q, faces, bary
 
     # two triangles per grid cell with all four corners inside, cells in (iy, ix) order
-    index = np.where(inside, np.cumsum(inside) - 1, -1).reshape(res, res)
-    c00, c10, c01, c11 = (c.T.ravel() for c in (index[:-1, :-1], index[1:, :-1],
-                                                  index[:-1, 1:], index[1:, 1:]))
-    full = (c00 >= 0) & (c10 >= 0) & (c01 >= 0) & (c11 >= 0)
-    tris = np.stack([c00, c10, c11, c00, c11, c01], axis=1)[full].reshape(-1, 3)
+    index = np.cumsum(inside, dtype=np.int32)
+    index -= 1
+    index = index.reshape(res, res).T  # [iy, ix]
+    c00, c10, c01, c11 = index[:-1, :-1], index[:-1, 1:], index[1:, :-1], index[1:, 1:]
+    ins = inside.reshape(res, res).T
+    full = ins[:-1, :-1] & ins[:-1, 1:] & ins[1:, :-1] & ins[1:, 1:]
+    tris = np.empty((np.count_nonzero(full), 2, 3), dtype=np.int32)
     if not len(tris):
         raise NumericError("dense grid resolution too small to triangulate the chart")
-    return TriMesh(positions, tris), fallbacks
+    tris[:, 0, 0] = tris[:, 1, 0] = c00[full]
+    tris[:, 0, 1] = c10[full]
+    tris[:, 0, 2] = tris[:, 1, 1] = c11[full]
+    tris[:, 1, 2] = c01[full]
+    return TriMesh(positions, tris.reshape(-1, 3)), fallbacks
 
 
-def _chamfer_vs_mesh(recon: TriMesh, gt: TriMesh, n_samples: int) -> float:
+def _chamfer_vs_mesh(recon: TriMesh, gt: TriMesh, n_samples: int, workers=1) -> float:
     # same seed on both sides: evaluating a mesh against itself gives exactly 0
     a, _, _ = sample_surface_arrays(recon, n_samples, _EVAL_SEED)
     b, _, _ = sample_surface_arrays(gt, n_samples, _EVAL_SEED)
-    return chamfer_distance(a, b, workers=_workers())
+    return chamfer_distance(a, b, workers=workers)
 
 
 def _chart_fingerprint(ck: ckpt_io.Checkpoint) -> str:
@@ -223,12 +238,13 @@ def cmd_fit(args) -> int:
 def cmd_reconstruct(args) -> int:
     if args.mode == "dense" and args.res < 2:
         raise ConfigError(f"--res must be at least 2, got {args.res}")
+    workers = _workers()
     _, state = _restore(args.checkpoint)
     with _stage("reconstruction"):
         if args.mode == "vertices":
-            mesh, fallbacks = _reconstruct_vertices(state)
+            mesh, fallbacks = _reconstruct_vertices(state, workers)
         else:
-            mesh, fallbacks = _reconstruct_dense(state, args.res)
+            mesh, fallbacks = _reconstruct_dense(state, args.res, workers)
     export_mesh(mesh, args.out)
     if fallbacks:
         print(f"frame fallbacks: {fallbacks}")
@@ -239,12 +255,13 @@ def cmd_reconstruct(args) -> int:
 def cmd_eval(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    workers = _workers()
     _, state = _restore(args.checkpoint)
     with _stage("mesh"):
         gt = normalize_unit_sphere(load_mesh(args.mesh))
     with _stage("evaluation"):
-        recon, fallbacks = _reconstruct_vertices(state, coarse_only=args.coarse_only)
-        cd = _chamfer_vs_mesh(recon, gt, args.samples)
+        recon, fallbacks = _reconstruct_vertices(state, workers, coarse_only=args.coarse_only)
+        cd = _chamfer_vs_mesh(recon, gt, args.samples, workers)
     counts = state[3].param_counts()
     metrics = {
         "chamfer": cd,
@@ -265,11 +282,12 @@ def cmd_eval(args) -> int:
 def cmd_edit(args) -> int:
     if args.factor < 0:
         raise ConfigError(f"--factor must be >= 0, got {args.factor}")
+    workers = _workers()
     _, state = _restore(args.checkpoint)
     mesh, chart, patchset, params = state
     with _stage("edit"):
         edited = scale_details(params, args.factor)
-        recon, fallbacks = _reconstruct_vertices((mesh, chart, patchset, edited))
+        recon, fallbacks = _reconstruct_vertices((mesh, chart, patchset, edited), workers)
     export_mesh(recon, args.out)
     if fallbacks:
         print(f"frame fallbacks: {fallbacks}")
@@ -278,6 +296,7 @@ def cmd_edit(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    workers = _workers()
     ck_src, src_state = _restore(args.source)
     ck_dst, dst_state = _restore(args.target)
     fp_src, fp_dst = _chart_fingerprint(ck_src), _chart_fingerprint(ck_dst)
@@ -289,7 +308,7 @@ def cmd_transfer(args) -> int:
     with _stage("transfer"):
         hybrid = transfer_details(src_state[3], dst_state[3])
         mesh, chart, patchset, _ = dst_state
-        recon, fallbacks = _reconstruct_vertices((mesh, chart, patchset, hybrid))
+        recon, fallbacks = _reconstruct_vertices((mesh, chart, patchset, hybrid), workers)
     export_mesh(recon, args.out)
     if fallbacks:
         print(f"frame fallbacks: {fallbacks}")

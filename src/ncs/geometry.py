@@ -31,8 +31,8 @@ log = logging.getLogger(__name__)
 
 # faces with less 3D area than this are dropped on load
 _DEGENERATE_AREA = 1e-14
-# rows per formatted block in export_mesh: a few MB of text at a time
-_EXPORT_CHUNK_ROWS = 65536
+# rows per formatted block in export_mesh: about a MB of text at a time
+_EXPORT_CHUNK_ROWS = 16384
 # points per leaf of a Chamfer KD-tree
 _CHAMFER_LEAFSIZE = 32
 
@@ -51,11 +51,14 @@ class TriMesh:
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        # range-checked in int64: the int32 cast would wrap an index of 2**32 or more
-        try:
-            faces = np.asarray(self.faces, dtype=np.int64)
-        except OverflowError:
-            raise MeshError("face index out of range") from None
+        # int32 faces are range-checked as they are; anything else in int64, since
+        # the int32 cast would wrap an index of 2**32 or more into range
+        faces = self.faces
+        if not (isinstance(faces, np.ndarray) and faces.dtype == np.int32):
+            try:
+                faces = np.asarray(faces, dtype=np.int64)
+            except OverflowError:
+                raise MeshError("face index out of range") from None
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshError("vertices must have shape (V, 3)")
         if faces.ndim != 2 or faces.shape[1] != 3:
@@ -179,19 +182,20 @@ def _parse_tokens(tokens: np.ndarray, dtype) -> tuple[np.ndarray | None, tuple[i
 def export_mesh(mesh: TriMesh, path) -> None:
     """Write an ASCII OBJ; vertex order is preserved so round trips are stable.
 
-    Rows are formatted a chunk at a time by one %-format each. The file is written
-    beside `path` and renamed into place, so a failed export leaves no partial file.
+    Rows are formatted a chunk at a time by one %-format each; face indices become
+    1-based a chunk at a time, in int64. The file is written beside `path` and
+    renamed into place, so a failed export leaves no partial file.
     """
     if mesh.n_vertices == 0 or mesh.n_faces == 0:
         raise MeshError("refusing to export an empty mesh")
-    records = (("v %.12g %.12g %.12g\n", mesh.vertices),
-               ("f %d %d %d\n", mesh.faces.astype(np.int64) + 1))
+    records = (("v %.12g %.12g %.12g\n", mesh.vertices, lambda c: c),
+               ("f %d %d %d\n", mesh.faces, lambda c: c.astype(np.int64) + 1))
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for fmt, rows in records:
+            for fmt, rows, convert in records:
                 for s in range(0, len(rows), _EXPORT_CHUNK_ROWS):
-                    chunk = rows[s:s + _EXPORT_CHUNK_ROWS]
+                    chunk = convert(rows[s:s + _EXPORT_CHUNK_ROWS])
                     fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
         os.replace(tmp, path)
     finally:

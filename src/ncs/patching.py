@@ -312,12 +312,13 @@ def pair_boundary_distances(patchset: PatchSet, pair_patch: np.ndarray, pair_uv:
     for (w, c), lo, hi in zip(pack, bounds[:-1].tolist(), bounds[1:].tolist()):
         s = lo
         while s < hi:
-            # fold a one-row tail into its block: NumPy sends a one-row product
-            # through GEMV, which rounds differently from GEMM
+            # NumPy sends a one-row product through GEMV, which rounds differently
+            # from GEMM: fold a one-row tail into its block, and run a patch's lone
+            # row as two, so a distance does not depend on how the pairs are split
             e = hi if s + _BLOCK_ROWS >= hi - 1 else s + _BLOCK_ROWS
-            d = uv[s:e] @ w
+            d = (uv[s:e] if e - s > 1 else uv[[s, s]]) @ w
             d -= c
-            res[s:e] = d.min(axis=1)
+            res[s:e] = d.min(axis=1)[:e - s]
             s = e
     out = np.empty_like(res)
     out[order] = res

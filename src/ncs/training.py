@@ -120,19 +120,25 @@ def sample_batch(ctx: TrainContext, n: int, seed: int) -> TrainBatch:
     return batch_at(ctx, *sample_faces(ctx.area_cum, n, seed))
 
 
-def vertex_batch(ctx: TrainContext) -> TrainBatch:
-    """One sample per mesh vertex (one-hot barycentric in its lowest incident face);
-    used by vertices-mode reconstruction and evaluation."""
-    nv = ctx.mesh.n_vertices
+def vertex_samples(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """One sample per mesh vertex as (faces (V,), barycentric (V,3)): a one-hot
+    barycentric in its lowest incident face. Vertices-mode reconstruction and
+    evaluation use these samples."""
+    nv = mesh.n_vertices
     faces = np.full(nv, -1, dtype=np.int64)
     corner = np.zeros(nv, dtype=np.int64)
     # first occurrence with corners reversed: the lowest face, its last matching corner
-    vids, pos = np.unique(ctx.mesh.faces[:, ::-1].ravel(), return_index=True)
+    vids, pos = np.unique(mesh.faces[:, ::-1].ravel(), return_index=True)
     faces[vids] = pos // 3
     corner[vids] = 2 - pos % 3
     bary = np.zeros((nv, 3))
     bary[np.arange(nv), corner] = 1.0
-    return batch_at(ctx, faces, bary)
+    return faces, bary
+
+
+def vertex_batch(ctx: TrainContext) -> TrainBatch:
+    """The batch of `vertex_samples(ctx.mesh)`, one sample per mesh vertex."""
+    return batch_at(ctx, *vertex_samples(ctx.mesh))
 
 
 def _filter_batch(batch: TrainBatch, keep: np.ndarray) -> TrainBatch:

@@ -242,6 +242,20 @@ class TestExitCodes:
                      "-o", str(tmp_path / "d.obj")]) == 2
         assert "--res" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_worker_count_is_2(self, fitted_run, mesh_file, tmp_path, value, monkeypatch, capsys):
+        _, out = fitted_run
+        obj = tmp_path / "r.obj"
+        monkeypatch.setenv("NCS_WORKERS", value)
+        for argv in (["reconstruct", str(out / "model.ncs"), "-o", str(obj)],
+                     ["eval", str(out / "model.ncs"), str(mesh_file), "--samples", "100"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: NCS_WORKERS must be an integer >= 1") and "Traceback" not in err
+        assert not obj.exists()
+        monkeypatch.setenv("NCS_WORKERS", "")  # empty means one worker
+        assert main(["reconstruct", str(out / "model.ncs"), "-o", str(obj)]) == 0
+
     def test_stage_keeps_error_type_and_attributes(self):
         from ncs.cli import _stage
         from ncs.errors import FrameDegenerateError
@@ -296,6 +310,26 @@ class TestReconstructEval:
         dense = load_mesh(obj)
         assert dense.n_faces > 100
         assert np.abs(dense.vertices).max() < 2.0
+
+    def test_dense_memory_per_grid_point(self, fitted_run):
+        # pairs are built per evaluation chunk, so beyond the output mesh the dense
+        # reconstruct holds a few arrays per inside point. The bound lies between the
+        # 33 bytes a grid point measured here and the 243 of a reconstruct that holds
+        # every point's pairs at once
+        import tracemalloc
+
+        from ncs.cli import _reconstruct_dense, _restore
+        _, out = fitted_run
+        _, state = _restore(out / "model.ncs")
+        res = 512
+        tracemalloc.start()
+        try:
+            mesh, _ = _reconstruct_dense(state, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_vertices > res * res // 2
+        assert (peak - mesh.vertices.nbytes - mesh.faces.nbytes) / res ** 2 < 120
 
     def test_eval_outputs_json(self, fitted_run, mesh_file, tmp_path, capsys):
         _, out = fitted_run
@@ -445,6 +479,15 @@ class TestWorkers:
             assert main(["eval", str(out / "model.ncs"), str(mesh_file), "--samples", "20000",
                          "--json", str(reports[-1])]) == 0
         assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    def test_worker_count_does_not_change_edit(self, fitted_run, tmp_path, monkeypatch):
+        _, out = fitted_run
+        objs = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("NCS_WORKERS", workers)
+            objs.append(tmp_path / f"edit{workers}.obj")
+            assert main(["edit", str(out / "model.ncs"), "--factor", "1.5", "-o", str(objs[-1])]) == 0
+        assert objs[0].read_bytes() == objs[1].read_bytes()
 
     def test_param_table_exact_numbers(self, tmp_path, mesh_file, capsys):
         cfg, out = write_config(tmp_path, mesh_file, warmup=0, total=0)

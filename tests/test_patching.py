@@ -7,7 +7,7 @@ import pytest
 from conftest import cover_of, dense_interior_uv
 from ncs import synth
 from ncs.errors import MeshError, OutOfChartError
-from ncs.geometry import TriMesh, normalize_unit_sphere
+from ncs.geometry import TriMesh, normalize_unit_sphere, sample_faces
 from ncs.parameterization import DiskChart, embed_disk
 from ncs.patching import (_BLOCK_ROWS, blend_weights, boundary_signed_distance, extract_patches,
                           face_pairs, normalize_pair_weights, pair_boundary_distances,
@@ -246,6 +246,40 @@ class TestBlockedDistances:
         _, _, patchset, _ = bumpy16
         with pytest.raises(IndexError):
             pair_boundary_distances(patchset, np.array([patchset.n_patches]), np.zeros((1, 2)))
+
+
+class TestSplitInvariance:
+    """Evaluation builds its pairs a chunk of samples at a time, so a distance, and
+    so every pair array, must not depend on how the samples are split."""
+
+    @staticmethod
+    def pieces(n, rng):
+        # lone rows first (each piece holds one row of one patch), then ragged pieces
+        # in which many patches keep a single row
+        cuts = np.concatenate([np.arange(60), np.sort(rng.choice(np.arange(61, n), 40, replace=False)), [n]])
+        return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+
+    def test_distances_any_split(self, bumpy16):
+        _, _, patchset, ctx = bumpy16
+        rng = np.random.default_rng(8)
+        _, pair_patch, pair_uv, _ = face_pairs(patchset, *sample_faces(ctx.area_cum, 1500, 8))
+        whole = pair_boundary_distances(patchset, pair_patch, pair_uv)
+        parts = [pair_boundary_distances(patchset, pair_patch[a:b], pair_uv[a:b])
+                 for a, b in self.pieces(len(pair_patch), rng)]
+        assert np.array_equal(np.concatenate(parts), whole)
+        for pid, uv, d in zip(pair_patch[:200], pair_uv[:200], whole[:200]):
+            assert abs(d + boundary_signed_distance(patchset.patches[pid].chart, uv)) <= 1e-12
+
+    def test_face_pairs_any_split(self, bumpy16):
+        _, _, patchset, ctx = bumpy16
+        faces, bary = sample_faces(ctx.area_cum, 1500, 9)
+        whole = face_pairs(patchset, faces, bary)
+        pieces = self.pieces(len(faces), np.random.default_rng(9))
+        parts = [face_pairs(patchset, faces[a:b], bary[a:b]) for a, b in pieces]
+        # sample ids are local to their piece
+        assert np.array_equal(np.concatenate([p[0] + a for p, (a, _) in zip(parts, pieces)]), whole[0])
+        for k in (1, 2, 3):
+            assert np.array_equal(np.concatenate([p[k] for p in parts]), whole[k]), k
 
 
 class TestBlendWeights:
