@@ -269,7 +269,7 @@ def restore_state(ckpt: Checkpoint):
     frame set that does not fit that arch raises CheckpointError, as does a patch
     record that does not index into the mesh and its own vertices, or a global uv
     record without one row per mesh vertex or boundary record outside the mesh."""
-    mesh = TriMesh(ckpt.mesh_vertices, ckpt.mesh_faces, uv=ckpt.global_uv.copy())
+    mesh = TriMesh(ckpt.mesh_vertices, ckpt.mesh_faces)
     _check_records("global", {"uv": ckpt.global_uv, "boundary": ckpt.global_boundary},
                    [("uv", (mesh.n_vertices, 2), None, False),
                     ("boundary", (ckpt.global_boundary.size,), mesh.n_vertices, False)])

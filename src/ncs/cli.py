@@ -110,9 +110,8 @@ def _eval_positions(params, q, faces, bary, patchset, workers=1, coarse_only=Fal
     def run(s):
         e = min(s + _EVAL_CHUNK, n)
         pair_sample, pair_patch, pair_uv, pair_w = face_pairs(patchset, faces[s:e], bary[s:e])
-        out, info = evaluate_batch(
-            params, q[s:e], pair_sample, pair_patch, pair_uv.astype(np.float32),
-            pair_w.astype(np.float32), coarse_only=coarse_only, grids=grids, degenerate="fallback")
+        out, info = evaluate_batch(params, q[s:e], pair_sample, pair_patch, pair_uv, pair_w,
+                                   coarse_only=coarse_only, grids=grids, degenerate="fallback")
         positions[s:e] = out.data
         return info["frame_fallbacks"]
 
@@ -128,7 +127,7 @@ def _eval_positions(params, q, faces, bary, patchset, workers=1, coarse_only=Fal
 def _reconstruct_vertices(state, workers=1, coarse_only=False):
     mesh, chart, patchset, params = state
     faces, bary = vertex_samples(mesh)
-    q = np.einsum("nk,nkd->nd", bary, chart.uv[mesh.faces[faces]]).astype(np.float32)
+    q = np.einsum("nk,nkd->nd", bary, chart.uv[mesh.faces[faces]])
     positions, fallbacks = _eval_positions(params, q, faces, bary, patchset, workers, coarse_only)
     return TriMesh(positions, mesh.faces.copy()), fallbacks
 
@@ -200,7 +199,6 @@ def cmd_fit(args) -> int:
         mesh = normalize_unit_sphere(load_mesh(cfg.mesh_path))
     with _stage("parameterization"):
         chart = embed_disk(mesh)
-        mesh.uv = chart.uv
     with _stage("patching"):
         patchset = extract_patches(mesh, cfg.radius_frac, cfg.forbid_prob, cfg.patch_seed)
     with _stage("model"):
@@ -280,8 +278,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    if args.factor < 0:
-        raise ConfigError(f"--factor must be >= 0, got {args.factor}")
+    if not (np.isfinite(args.factor) and args.factor >= 0):
+        raise ConfigError(f"--factor must be finite and >= 0, got {args.factor}")
     workers = _workers()
     _, state = _restore(args.checkpoint)
     mesh, chart, patchset, params = state

@@ -39,15 +39,10 @@ _CHAMFER_LEAFSIZE = 32
 
 @dataclass
 class TriMesh:
-    """Indexed triangle surface.
-
-    `uv` is filled by the parameterization stage with per-vertex disk coordinates;
-    it is None for freshly loaded meshes.
-    """
+    """Indexed triangle surface."""
 
     vertices: np.ndarray
     faces: np.ndarray
-    uv: np.ndarray | None = None
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)

@@ -322,6 +322,8 @@ _RESTRICT_MAX_HALO = 0.5
 def _features(params: ModelParams, pair_patch, pair_uv, grids: ad.Tensor | None) -> ad.Tensor:
     """Decoded feature vector of each (patch, uv) lookup, times `detail_scale`: (M, C).
 
+    The lookups read `pair_uv` rounded to the model's dtype, whatever dtype the
+    caller passes, so training, evaluation and feature maps read the same taps.
     Callers that pass decoded `grids` (the CLI's dense evaluation) sample them
     bilinearly. Without `grids`, blocks 0..B-2 run densely and the last block runs
     only at the pixels the lookups read and their 3x3 halo (`ad.residual_block_at`)
@@ -332,6 +334,7 @@ def _features(params: ModelParams, pair_patch, pair_uv, grids: ad.Tensor | None)
     dense on the desk architecture (32x32 grids); a single point reads a few pixels
     per patch.
     """
+    pair_uv = np.asarray(pair_uv, dtype=params.dtype())
     if grids is None:
         h, w = params.config.grid_size()
         if 16 * len(pair_patch) <= _RESTRICT_MAX_HALO * params.n_patches * h * w:
@@ -370,9 +373,11 @@ def evaluate_batch(params: ModelParams, q, pair_sample, pair_patch, pair_uv, pai
                    degenerate: str = "raise", return_coarse: bool = False):
     """Batched surface evaluation from precomputed patch-pair data.
 
-    Returns (positions Tensor (N,3), info dict). `degenerate` picks the policy for
-    rank-deficient Jacobians: "raise" (training) or "fallback" (reconstruction:
-    reuse the nearest previous valid frame, counted in info["frame_fallbacks"]).
+    q, pair_uv and pair_w may come in any float dtype: the model rounds each to its
+    own, here (q), in `_features` (uv) and in `_blend` (w). Returns (positions
+    Tensor (N,3), info dict). `degenerate` picks the policy for rank-deficient
+    Jacobians: "raise" (training) or "fallback" (reconstruction: reuse the nearest
+    previous valid frame, counted in info["frame_fallbacks"]).
     """
     info = {"frame_fallbacks": 0}
     dt = params.dtype()
@@ -403,17 +408,14 @@ def evaluate_batch(params: ModelParams, q, pair_sample, pair_patch, pair_uv, pai
 def fine_forward(params: ModelParams, patchset: PatchSet, global_chart: DiskChart, q) -> np.ndarray:
     """Blended fine displacement (canonical coordinates, before any frame) at one point."""
     ps, pp, puv, pw = pairs_for_points(patchset, global_chart, q)
-    d = _fine_displacement(params, ps, pp, puv.astype(params.dtype()),
-                           pw.astype(params.dtype()), 1, None)
+    d = _fine_displacement(params, ps, pp, puv, pw, 1, None)
     return d.data[0].astype(np.float64)
 
 
 def evaluate(params: ModelParams, patchset: PatchSet, global_chart: DiskChart, q) -> np.ndarray:
     """Full model at one global 2D point: coarse position plus framed displacement."""
     ps, pp, puv, pw = pairs_for_points(patchset, global_chart, q)
-    qa = np.asarray(q, dtype=np.float64).reshape(1, 2)
-    out, _ = evaluate_batch(params, qa, ps, pp, puv.astype(params.dtype()),
-                            pw.astype(params.dtype()))
+    out, _ = evaluate_batch(params, np.reshape(q, (1, 2)), ps, pp, puv, pw)
     return out.data[0].astype(np.float64)
 
 
@@ -425,8 +427,8 @@ def scale_details(params: ModelParams, factor: float) -> ModelParams:
     """A view of the model whose decoded features are scaled by `factor` (at their
     bilinear samples in `_features`, the same as scaling the grids up to rounding);
     factor 1 is the identity, <1 smooths, >1 exaggerates."""
-    if factor < 0:
-        raise ValueError("detail scale factor must be >= 0")
+    if not (np.isfinite(factor) and factor >= 0):
+        raise ValueError(f"detail scale factor must be finite and >= 0, got {factor}")
     view = copy.copy(params)
     view.detail_scale = float(factor)
     return view

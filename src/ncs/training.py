@@ -1,6 +1,7 @@
 """Overfitting one mesh: batch sampling over the global chart, the joint and
-coarse-only losses, the warm-up schedule (cosine split between the two branches),
-and the optimization loop with two RMSProp parameter groups.
+coarse-only losses of one forward pass (`forward_losses`), the warm-up schedule
+(cosine split between the two branches), and the optimization loop with two
+RMSProp parameter groups.
 
 Schedule: lam(t) = 0.5*(1+cos(pi*t/warmup)) decays 1 -> 0 over the warm-up, the
 loss is (1-lam)*L_joint + lam*L_reg, the coarse learning rate follows
@@ -65,15 +66,12 @@ def schedule_at(schedule: TrainSchedule, t: int) -> tuple[float, float, float]:
 class TrainBatch:
     """Area-uniform surface samples in chart coordinates with per-sample patch pairs.
 
-    q/target/pair_uv/pair_w are float32 copies for the network; face/bary/target64
-    keep the exact float64 construction data.
+    q, target, pair_uv and pair_w are float64 as built; the model rounds them to its
+    own dtype (`model.evaluate_batch`, `training._mse`).
     """
 
     q: np.ndarray
     target: np.ndarray
-    face: np.ndarray
-    bary: np.ndarray
-    target64: np.ndarray
     pair_sample: np.ndarray
     pair_patch: np.ndarray
     pair_uv: np.ndarray
@@ -88,7 +86,6 @@ class TrainContext:
     """Precomputed per-face lookup tables for fast batch construction."""
 
     mesh: TriMesh
-    global_chart: DiskChart
     patchset: PatchSet
     face_uv: np.ndarray  # (F,3,2) global chart uv of each face corner
     face_xyz: np.ndarray  # (F,3,3)
@@ -96,22 +93,16 @@ class TrainContext:
 
 
 def build_context(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet) -> TrainContext:
-    return TrainContext(mesh=mesh, global_chart=global_chart, patchset=patchset,
+    return TrainContext(mesh=mesh, patchset=patchset,
                         face_uv=global_chart.uv[mesh.faces], face_xyz=mesh.vertices[mesh.faces],
                         area_cum=np.cumsum(face_areas(mesh)))
 
 
 def batch_at(ctx: TrainContext, faces: np.ndarray, bary: np.ndarray) -> TrainBatch:
     """The batch of the surface points given as (face, barycentric) rows."""
-    q64 = np.einsum("nk,nkd->nd", bary, ctx.face_uv[faces])
-    t64 = np.einsum("nk,nkd->nd", bary, ctx.face_xyz[faces])
-    pair_sample, pair_patch, pair_uv, pair_w = face_pairs(ctx.patchset, faces, bary)
-    return TrainBatch(
-        q=q64.astype(np.float32), target=t64.astype(np.float32),
-        face=np.asarray(faces, dtype=np.int64), bary=bary, target64=t64,
-        pair_sample=pair_sample, pair_patch=pair_patch,
-        pair_uv=pair_uv.astype(np.float32), pair_w=pair_w.astype(np.float32),
-    )
+    return TrainBatch(np.einsum("nk,nkd->nd", bary, ctx.face_uv[faces]),
+                      np.einsum("nk,nkd->nd", bary, ctx.face_xyz[faces]),
+                      *face_pairs(ctx.patchset, faces, bary))
 
 
 def sample_batch(ctx: TrainContext, n: int, seed: int) -> TrainBatch:
@@ -146,13 +137,8 @@ def _filter_batch(batch: TrainBatch, keep: np.ndarray) -> TrainBatch:
     remap = np.full(len(batch), -1, dtype=np.int64)
     remap[idx] = np.arange(len(idx))
     pk = keep[batch.pair_sample]
-    return TrainBatch(
-        q=batch.q[idx], target=batch.target[idx], face=batch.face[idx],
-        bary=batch.bary[idx], target64=batch.target64[idx],
-        pair_sample=remap[batch.pair_sample[pk]],
-        pair_patch=batch.pair_patch[pk],
-        pair_uv=batch.pair_uv[pk], pair_w=batch.pair_w[pk],
-    )
+    return TrainBatch(batch.q[idx], batch.target[idx], remap[batch.pair_sample[pk]],
+                      batch.pair_patch[pk], batch.pair_uv[pk], batch.pair_w[pk])
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +157,6 @@ def forward_losses(params: ModelParams, batch: TrainBatch) -> tuple[ad.Tensor, a
         params, batch.q, batch.pair_sample, batch.pair_patch, batch.pair_uv, batch.pair_w,
         return_coarse=True)
     return _mse(pred, batch.target), _mse(coarse, batch.target)
-
-
-def loss_joint(params: ModelParams, batch: TrainBatch) -> ad.Tensor:
-    """Mean squared error of the full model against the sampled ground truth."""
-    pred, _ = evaluate_batch(params, batch.q, batch.pair_sample, batch.pair_patch,
-                             batch.pair_uv, batch.pair_w)
-    return _mse(pred, batch.target)
-
-
-def loss_reg(params: ModelParams, batch: TrainBatch) -> ad.Tensor:
-    """Mean squared error of the coarse branch alone against the ground truth."""
-    pred, _ = evaluate_batch(params, batch.q, batch.pair_sample, batch.pair_patch,
-                             batch.pair_uv, batch.pair_w, coarse_only=True)
-    return _mse(pred, batch.target)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +179,7 @@ def _iteration_seed(seed: int, t: int, salt: int = 0) -> int:
 
 def fit(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet, params: ModelParams,
         schedule: TrainSchedule, *, batch_size: int = 2048, seed: int = 0,
-        log_every: int = 100, checkpoint_every: int = 0, checkpoint_cb=None,
-        ctx: TrainContext | None = None) -> FitResult:
+        log_every: int = 100, checkpoint_every: int = 0, checkpoint_cb=None) -> FitResult:
     """Run the optimization loop; mutates `params` in place and returns them with a log.
 
     Per iteration: sample a fresh batch, build (1-lam)*L_joint + lam*L_reg on one
@@ -217,8 +188,7 @@ def fit(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet, params: Mode
     dropped (counted). A non-finite loss writes a final checkpoint (when a callback
     is given) and raises NumericError.
     """
-    if ctx is None:
-        ctx = build_context(mesh, global_chart, patchset)
+    ctx = build_context(mesh, global_chart, patchset)
     opt_c = ad.RMSProp(params.coarse_tensors())
     opt_f = ad.RMSProp(params.fine_tensors())
     leaves = params.all_tensors()

@@ -123,7 +123,6 @@ def bumpy16():
     """Small normalized bumpy plane with chart, patches, and train context."""
     mesh = geometry.normalize_unit_sphere(synth.bumpy_plane(16, amplitude=0.08, freq=6.0))
     chart = par.embed_disk(mesh)
-    mesh.uv = chart.uv
     patchset = patching.extract_patches(mesh, 0.4, 0.5, seed=1)
     ctx = tr.build_context(mesh, chart, patchset)
     return mesh, chart, patchset, ctx
@@ -141,7 +140,7 @@ def fitted_small(bumpy16, small_arch):
     mesh, chart, patchset, ctx = bumpy16
     params = mo.build_model(small_arch, patchset, seed=0)
     sched = tr.TrainSchedule(warmup_iters=300, total_iters=1200, base_lr=1e-4)
-    tr.fit(mesh, chart, patchset, params, sched, batch_size=512, seed=7, log_every=0, ctx=ctx)
+    tr.fit(mesh, chart, patchset, params, sched, batch_size=512, seed=7, log_every=0)
     return params
 
 
@@ -153,5 +152,4 @@ def two_strip():
     col = np.arange(mesh.n_vertices) // n  # x-index of each grid vertex
     patchset = manual_patchset(mesh, [col <= 5, col >= 3])
     chart = par.embed_disk(mesh)
-    mesh.uv = chart.uv
     return mesh, chart, patchset, n

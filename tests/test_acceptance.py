@@ -43,7 +43,6 @@ DESK = dict(radius=0.25, forbid=0.5, patch_seed=11, fit_seed=3,
 def desk_fit():
     mesh = normalize_unit_sphere(synth.bumpy_plane(64))  # z = 0.05 sin(20x) sin(20y)
     chart = embed_disk(mesh)
-    mesh.uv = chart.uv
     patchset = extract_patches(mesh, DESK["radius"], DESK["forbid"], DESK["patch_seed"])
     ctx = tr.build_context(mesh, chart, patchset)
     cfg = mo.ArchConfig(coarse_widths=(32, 32), code_shape=(4, 4, 4), cnn_channels=4,
@@ -59,7 +58,7 @@ def desk_fit():
     t0 = time.perf_counter()
     tr.fit(mesh, chart, patchset, params, sched, batch_size=DESK["batch"],
            seed=DESK["fit_seed"], log_every=0, checkpoint_every=DESK["warmup"],
-           checkpoint_cb=snapshot, ctx=ctx)
+           checkpoint_cb=snapshot)
     minutes = (time.perf_counter() - t0) / 60
 
     warm_params = mo.build_model(cfg, patchset, seed=DESK["fit_seed"])
@@ -168,9 +167,8 @@ def test_criterion_1_autodiff(two_strip):
         return mo.ModelParams(cfg, coarse, codes, cnn, fine)
 
     def full_loss(flat):
-        p = rebuild(flat)
-        return ad.add(ad.scale(tr.loss_joint(p, batch), 0.7),
-                      ad.scale(tr.loss_reg(p, batch), 0.3))
+        lj, lr_ = tr.forward_losses(rebuild(flat), batch)
+        return ad.add(ad.scale(lj, 0.7), ad.scale(lr_, 0.3))
 
     flat = ([t for pair in params.coarse for t in pair] + [params.codes]
             + [t for blk in params.cnn for t in blk] + [t for pair in params.fine for t in pair])
@@ -295,7 +293,6 @@ def test_criterion_5_parameterization():
     for name, m in (("bumpy-plane", normalize_unit_sphere(synth.bumpy_plane(64))),
                     ("saddle", normalize_unit_sphere(synth.saddle(48)))):
         chart = embed_disk(m)
-        m.uv = chart.uv
         ps = extract_patches(m, 0.25, 0.5, seed=11)
         corpora.append((name, (m, chart), ps))
 
@@ -348,7 +345,6 @@ def test_criterion_6_desk_fit(desk_fit):
 def test_criterion_7_ablation():
     mesh = normalize_unit_sphere(synth.folded_sheet(48))
     chart = embed_disk(mesh)
-    mesh.uv = chart.uv
     patchset = extract_patches(mesh, 0.3, 0.5, seed=4)
     ctx = tr.build_context(mesh, chart, patchset)
     vb = tr.vertex_batch(ctx)
@@ -359,7 +355,7 @@ def test_criterion_7_ablation():
                             cnn_blocks=3, fine_widths=(16, 16), mode=mode)
         params = mo.build_model(cfg, patchset, seed=5, mesh=mesh)
         sched = tr.TrainSchedule(warmup_iters=800, total_iters=3500, base_lr=1e-4)
-        tr.fit(mesh, chart, patchset, params, sched, batch_size=1024, seed=5, log_every=0, ctx=ctx)
+        tr.fit(mesh, chart, patchset, params, sched, batch_size=1024, seed=5, log_every=0)
         out, _ = mo.evaluate_batch(params, vb.q, vb.pair_sample, vb.pair_patch, vb.pair_uv,
                                    vb.pair_w, degenerate="fallback")
         recon = TriMesh(out.data.astype(np.float64), mesh.faces.copy())

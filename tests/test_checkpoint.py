@@ -87,7 +87,7 @@ class TestRoundTrip:
         params = mo.build_model(small_arch, patchset, seed=1)
         sched = tr.TrainSchedule(warmup_iters=5, total_iters=20, base_lr=1e-4)
         res = tr.fit(mesh, chart, patchset, params, sched, batch_size=64, seed=1,
-                     log_every=0, ctx=ctx)
+                     log_every=0)
         c = ck.checkpoint_from_state("", 20, mesh, chart, patchset, params,
                                      (res.opt_coarse, res.opt_fine))
         path = tmp_path / "opt.ncs"

@@ -228,9 +228,10 @@ class TestExitCodes:
         assert main(["eval", str(out / "model.ncs"), str(mesh_file), "--samples", samples]) == 2
         assert "--samples" in capsys.readouterr().err
 
-    def test_edit_negative_factor_is_2(self, fitted_run, tmp_path, capsys):
+    @pytest.mark.parametrize("factor", ["-1", "nan", "inf"])
+    def test_edit_negative_factor_is_2(self, fitted_run, tmp_path, factor, capsys):
         _, out = fitted_run
-        assert main(["edit", str(out / "model.ncs"), "--factor", "-1",
+        assert main(["edit", str(out / "model.ncs"), "--factor", factor,
                      "-o", str(tmp_path / "e.obj")]) == 2
         assert "--factor" in capsys.readouterr().err
         assert not (tmp_path / "e.obj").exists()

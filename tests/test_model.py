@@ -7,8 +7,9 @@ from ncs import autodiff as ad, synth
 from ncs import model as mo
 from ncs import training as tr
 from ncs.errors import AlignmentError, FrameDegenerateError
-from ncs.geometry import normalize_unit_sphere
+from ncs.geometry import normalize_unit_sphere, sample_faces
 from ncs.parameterization import embed_disk
+from ncs.patching import face_pairs
 
 REFERENCE_100K = mo.ArchConfig()  # defaults: coarse 128-64-64, code 8x4x4, 8 ch, 5 blocks, fine 16-16
 
@@ -211,7 +212,6 @@ class TestFineBranch:
         ps = extract_patches(mesh, 3.0, 0.0, seed=0)
         assert ps.n_patches == 1
         chart = embed_disk(mesh)
-        mesh.uv = chart.uv
         cfg = mo.ArchConfig(coarse_widths=(8,), code_shape=(2, 2, 2), cnn_channels=2,
                             cnn_blocks=1, fine_widths=(4,))
         params = mo.build_model(cfg, ps, seed=1)
@@ -317,7 +317,6 @@ def bumpy64():
     from ncs.patching import extract_patches
     mesh = normalize_unit_sphere(synth.bumpy_plane(64))
     chart = embed_disk(mesh)
-    mesh.uv = chart.uv
     patchset = extract_patches(mesh, 0.25, 0.5, seed=11)
     return patchset, tr.build_context(mesh, chart, patchset)
 
@@ -342,6 +341,28 @@ class TestRestrictRule:
         calls = _spy_restricted(monkeypatch)
         tr.forward_losses(params, batch)
         assert bool(calls) == restricted
+
+
+class TestDtypeBoundary:
+    """The model rounds its inputs to its own dtype: float64 chart points and pair
+    arrays, as `face_pairs` builds them, give the bytes of their float32 casts."""
+
+    @pytest.mark.parametrize("n,restricted", [(256, False), (2, True)])
+    def test_float64_inputs_match_float32_casts(self, bumpy16, fitted_small, n, restricted,
+                                                monkeypatch):
+        _, _, patchset, ctx = bumpy16
+        faces, bary = sample_faces(ctx.area_cum, n, 9)
+        q = np.einsum("nk,nkd->nd", bary, ctx.face_uv[faces])
+        ps, pp, puv, pw = face_pairs(patchset, faces, bary)
+        assert q.dtype == puv.dtype == pw.dtype == np.float64
+        h, w = fitted_small.config.grid_size()
+        assert (16 * len(pp) <= 0.5 * patchset.n_patches * h * w) == restricted
+        calls = _spy_restricted(monkeypatch)
+        wide, _ = mo.evaluate_batch(fitted_small, q, ps, pp, puv, pw)
+        assert bool(calls) == restricted
+        narrow, _ = mo.evaluate_batch(fitted_small, q.astype(np.float32), ps, pp,
+                                      puv.astype(np.float32), pw.astype(np.float32))
+        assert wide.data.tobytes() == narrow.data.tobytes()
 
 
 class TestEvaluate:
@@ -483,6 +504,11 @@ class TestScaleDetails:
     def test_negative_rejected(self, fitted_small):
         with pytest.raises(ValueError):
             mo.scale_details(fitted_small, -0.5)
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf])
+    def test_non_finite_rejected(self, fitted_small, factor):
+        with pytest.raises(ValueError, match="finite"):
+            mo.scale_details(fitted_small, factor)
 
 
 class TestActivationMap:

@@ -9,7 +9,7 @@ from conftest import manual_patchset
 from ncs import autodiff as ad, synth
 from ncs import model as mo
 from ncs import training as tr
-from ncs.geometry import TriMesh, normalize_unit_sphere, sample_surface_arrays
+from ncs.geometry import TriMesh, normalize_unit_sphere, sample_faces, sample_surface_arrays
 from ncs.parameterization import embed_disk
 
 
@@ -21,7 +21,6 @@ def tiny_setup():
     xi = np.arange(mesh.n_vertices) // n
     patchset = manual_patchset(mesh, [xi <= 4, xi >= 2])
     chart = embed_disk(mesh)
-    mesh.uv = chart.uv
     ctx = tr.build_context(mesh, chart, patchset)
     cfg = mo.ArchConfig(coarse_widths=(8,), code_shape=(2, 2, 2), cnn_channels=2,
                         cnn_blocks=1, fine_widths=(6,))
@@ -85,25 +84,27 @@ class TestSampleBatch:
         from ncs.patching import extract_patches
         ps = extract_patches(mesh2, 5.0, 0.0, seed=0)
         chart = embed_disk(mesh2)
-        mesh2.uv = chart.uv
         ctx = tr.build_context(mesh2, chart, ps)
         b = tr.sample_batch(ctx, 1, seed=0)
-        assert b.face[0] == 0
-        assert (b.bary[0] >= 0).all()
-        loc = chart.locate(b.q[0].astype(np.float64))
+        loc = chart.locate(b.q[0])
         assert loc is not None
+        tri, bary = loc
+        assert tri == 0 and (bary >= -1e-12).all()
+        np.testing.assert_allclose(bary @ mesh2.vertices[mesh2.faces[tri]], b.target[0],
+                                   rtol=0, atol=1e-12)
 
     def test_same_points_as_sample_surface_arrays(self, tiny_setup):
         mesh, _, _, ctx, _ = tiny_setup
         b = tr.sample_batch(ctx, 300, seed=7)
-        _, faces, bary = sample_surface_arrays(mesh, 300, 7)
-        assert np.array_equal(b.face, faces) and np.array_equal(b.bary, bary)
+        points, _, _ = sample_surface_arrays(mesh, 300, 7)
+        assert np.array_equal(b.target, points)
 
     def test_target_matches_lift_exactly(self, tiny_setup):
         mesh, chart, patchset, ctx, _ = tiny_setup
         b = tr.sample_batch(ctx, 64, seed=1)
-        lift = np.einsum("nk,nkd->nd", b.bary, mesh.vertices[mesh.faces[b.face]])
-        assert np.array_equal(lift, b.target64)
+        faces, bary = sample_faces(ctx.area_cum, 64, 1)
+        lift = np.einsum("nk,nkd->nd", bary, mesh.vertices[mesh.faces[faces]])
+        assert np.array_equal(lift, b.target)
 
     def test_seed_determinism(self, tiny_setup):
         _, _, _, ctx, _ = tiny_setup
@@ -127,7 +128,7 @@ class TestLosses:
         mesh, chart, patchset, ctx, cfg = tiny_setup
         params = mo.build_model(cfg, patchset, seed=0)
         sched = tr.TrainSchedule(warmup_iters=5, total_iters=60, base_lr=1e-4)
-        tr.fit(mesh, chart, patchset, params, sched, batch_size=64, seed=2, log_every=0, ctx=ctx)
+        tr.fit(mesh, chart, patchset, params, sched, batch_size=64, seed=2, log_every=0)
         batch = tr.sample_batch(ctx, 48, seed=3)
         return params, batch
 
@@ -138,7 +139,7 @@ class TestLosses:
         batch.target[:] = mo.evaluate_batch(
             params, batch.q, batch.pair_sample, batch.pair_patch, batch.pair_uv,
             batch.pair_w)[0].data
-        assert float(tr.loss_joint(params, batch).data) == 0.0
+        assert float(tr.forward_losses(params, batch)[0].data) == 0.0
 
     def test_constant_offset(self, tiny_setup):
         mesh, chart, patchset, ctx, cfg = tiny_setup
@@ -148,7 +149,7 @@ class TestLosses:
                                  batch.pair_uv, batch.pair_w)[0].data
         t = np.array([0.03, -0.04, 0.12], dtype=np.float32)
         batch.target[:] = pred + t
-        assert float(tr.loss_joint(params, batch).data) == pytest.approx(
+        assert float(tr.forward_losses(params, batch)[0].data) == pytest.approx(
             float((t.astype(np.float64) ** 2).sum()), rel=1e-5)
 
     def test_two_sample_mean(self, tiny_setup):
@@ -159,21 +160,22 @@ class TestLosses:
                                  batch.pair_uv, batch.pair_w)[0].data.copy()
         batch.target[:] = pred
         batch.target[1, 0] += 2.0  # per-sample squared errors 0 and 4
-        assert float(tr.loss_joint(params, batch).data) == pytest.approx(2.0, rel=1e-6)
+        assert float(tr.forward_losses(params, batch)[0].data) == pytest.approx(2.0, rel=1e-6)
 
     def test_reg_ignores_fine_params(self, model_batch):
         params, batch = model_batch
-        before = float(tr.loss_reg(params, batch).data)
+        before = float(tr.forward_losses(params, batch)[1].data)
         perturbed = copy.deepcopy(params)
         perturbed.fine[-1][0].data[:] += 1.0
         perturbed.codes.data[:] += 2.0
-        assert float(tr.loss_reg(perturbed, batch).data) == before
+        assert float(tr.forward_losses(perturbed, batch)[1].data) == before
 
     def test_reg_equals_joint_with_zero_fine(self, tiny_setup):
         mesh, chart, patchset, ctx, cfg = tiny_setup
         params = mo.build_model(cfg, patchset, seed=1)  # zero fine output layer
         batch = tr.sample_batch(ctx, 40, seed=4)
-        assert float(tr.loss_joint(params, batch).data) == float(tr.loss_reg(params, batch).data)
+        lj, lr_ = tr.forward_losses(params, batch)
+        assert float(lj.data) == float(lr_.data)
 
     def test_decomposition_exact(self, model_batch):
         params, batch = model_batch
@@ -191,7 +193,7 @@ class TestFit:
         params = mo.build_model(cfg, patchset, seed=0)
         before = [t.data.copy() for t in params.all_tensors()]
         res = tr.fit(mesh, chart, patchset, params, tr.TrainSchedule(warmup_iters=0, total_iters=0),
-                     batch_size=16, seed=0, ctx=ctx)
+                     batch_size=16, seed=0)
         assert res.log == []
         for t, b in zip(params.all_tensors(), before):
             assert np.array_equal(t.data, b)
@@ -202,7 +204,7 @@ class TestFit:
         fine_before = [t.data.copy() for t in params.fine_tensors()]
         coarse_before = [t.data.copy() for t in params.coarse_tensors()]
         sched = tr.TrainSchedule(warmup_iters=10, total_iters=1, base_lr=1e-4)
-        tr.fit(mesh, chart, patchset, params, sched, batch_size=32, seed=0, log_every=0, ctx=ctx)
+        tr.fit(mesh, chart, patchset, params, sched, batch_size=32, seed=0, log_every=0)
         for t, b in zip(params.fine_tensors(), fine_before):
             assert np.array_equal(t.data, b)  # lr_fine(0) = 0 and lambda = 1
         assert any(not np.array_equal(t.data, b)
@@ -215,7 +217,7 @@ class TestFit:
         for _ in range(2):
             params = mo.build_model(cfg, patchset, seed=6)
             res = tr.fit(mesh, chart, patchset, params, sched, batch_size=64, seed=6,
-                         log_every=0, ctx=ctx)
+                         log_every=0)
             runs.append((res.final_loss, [t.data.copy() for t in params.all_tensors()]))
         assert runs[0][0] == runs[1][0]
         for a, b in zip(runs[0][1], runs[1][1]):
@@ -226,7 +228,7 @@ class TestFit:
         params = mo.build_model(cfg, patchset, seed=0)
         sched = tr.TrainSchedule(warmup_iters=60, total_iters=600, base_lr=1e-4)
         res = tr.fit(mesh, chart, patchset, params, sched, batch_size=64, seed=1,
-                     log_every=50, ctx=ctx)
+                     log_every=50)
         first = res.log[0]["loss"]
         last = res.log[-1]["loss"]
         assert last < 0.65 * first
@@ -237,7 +239,7 @@ class TestFit:
         seen = []
         sched = tr.TrainSchedule(warmup_iters=5, total_iters=30, base_lr=1e-4)
         tr.fit(mesh, chart, patchset, params, sched, batch_size=16, seed=0, log_every=0,
-               checkpoint_every=10, checkpoint_cb=lambda it, p, o: seen.append(it), ctx=ctx)
+               checkpoint_every=10, checkpoint_cb=lambda it, p, o: seen.append(it))
         assert seen == [10, 20, 30]
 
     def test_log_columns(self, tiny_setup):
@@ -245,7 +247,7 @@ class TestFit:
         params = mo.build_model(cfg, patchset, seed=0)
         sched = tr.TrainSchedule(warmup_iters=2, total_iters=6, base_lr=1e-4)
         res = tr.fit(mesh, chart, patchset, params, sched, batch_size=8, seed=0,
-                     log_every=2, ctx=ctx)
+                     log_every=2)
         for row in res.log:
             assert set(row) == {"iter", "lambda", "lr_coarse", "lr_fine", "loss",
                                 "loss_joint", "loss_reg", "wall_ms"}
@@ -275,8 +277,7 @@ class TestFullLossGradient:
 
         def full_loss(flat):
             p = rebuild(flat)
-            lj = tr.loss_joint(p, batch)
-            lr_ = tr.loss_reg(p, batch)
+            lj, lr_ = tr.forward_losses(p, batch)
             return ad.add(ad.scale(lj, 0.7), ad.scale(lr_, 0.3))
 
         flat = ([t for pair in params.coarse for t in pair] + [params.codes]
@@ -295,7 +296,7 @@ class TestDegenerateHandling:
         sched = tr.TrainSchedule(warmup_iters=2, total_iters=4, base_lr=1e-4)
         with pytest.raises(NumericError, match="degenerate"):
             tr.fit(mesh, chart, patchset, params, sched, batch_size=16, seed=0,
-                   log_every=0, ctx=ctx)
+                   log_every=0)
 
     def test_non_finite_loss_aborts_with_checkpoint(self, tiny_setup):
         from ncs.errors import NumericError
@@ -306,5 +307,5 @@ class TestDegenerateHandling:
         sched = tr.TrainSchedule(warmup_iters=2, total_iters=4, base_lr=1e-4)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
             tr.fit(mesh, chart, patchset, params, sched, batch_size=16, seed=0,
-                   log_every=0, checkpoint_cb=lambda it, p, o: saved.append(it), ctx=ctx)
+                   log_every=0, checkpoint_cb=lambda it, p, o: saved.append(it))
         assert saved  # last-good state was handed to the callback before aborting
