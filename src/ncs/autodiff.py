@@ -2,8 +2,8 @@
 
 The op set is exactly what the surface model needs: batched affine layers, 3x3
 convolutions with zero padding, nearest-neighbor upsampling, bilinear grid
-lookups, an upsampling residual block evaluated only at the pixels a set of
-bilinear lookups reads (`residual_block_at`), segment reductions, and a handful
+lookups, an upsampling residual block evaluated only in a window around each
+bilinear lookup (`residual_block_at`), segment reductions, and a handful
 of pointwise/reduction primitives.
 
 Arithmetic is float32 unless the inputs are float64; the finite-difference
@@ -15,12 +15,11 @@ zero-padded and end to end in one channel-major flat buffer, where each of the 9
 taps is a fixed column offset. Fixed-size chunks of shifted columns go through
 one BLAS matmul each, in both passes, so no full im2col matrix is ever built.
 
-`residual_block_at` follows the active-site idea of submanifold sparse
-convolution (Graham & van der Maaten 2017): activations are position-major rows,
-one per pixel that the lookups need, and each convolution is row gathers plus
-GEMMs, in the backward pass too. Its conv1 reads the low-res input through one
-phase kernel: nearest 2x upsampling then a 3x3 conv is, per output parity, a 2x2
-conv of the low-res input (the sub-pixel form of Shi et al. 2016).
+`residual_block_at` evaluates the upsampling residual block per lookup, on one
+4x4 low-res patch: nearest 2x upsampling then a 3x3 conv is, per output parity,
+a fixed linear map of low-res pixels (the sub-pixel form of Shi et al. 2016), so
+both convolutions are fixed-shape GEMMs with kernels built from k1 and k2 and
+0/1 incidence tensors, with no per-pixel index maps.
 """
 
 from __future__ import annotations
@@ -552,196 +551,123 @@ def bilinear_sample(grid: Tensor, uv) -> Tensor:
 # a residual block evaluated only where bilinear lookups read it
 # ---------------------------------------------------------------------------
 
-def _dilate3x3(m: np.ndarray) -> np.ndarray:
-    """3x3 dilation of a (P,H,W) mask inside each image."""
-    r = m.copy()
-    r[:, 1:] |= m[:, :-1]
-    r[:, :-1] |= m[:, 1:]
-    out = r.copy()
-    out[:, :, 1:] |= r[:, :, :-1]
-    out[:, :, :-1] |= r[:, :, 1:]
-    return out
+def _incidences() -> tuple[np.ndarray, np.ndarray]:
+    """0/1 tensors of "nearest 2x, then 3x3" inside one lookup's window.
 
-
-class TapSites:
-    """Where bilinear lookups (idx, uv) read a stack of P images of H x W pixels.
-
-    The pixels live in a frame padded by one zero pixel on every side, (P, H+2, W+2),
-    flattened, so a 3x3 tap is a fixed flat offset and an image border reads padding.
-    `s0` marks the tap pixels; `s1` their 3x3 dilation inside each image, the pixels a
-    3x3 convolution at the taps reads. `taps` holds the padded flat id of each lookup's
-    four taps (00, 01, 10, 11, each (M,)), `fx`/`fy` the bilinear fractions.
+    A lookup with tap origin (y0, x0) reads its 4x4 low-res patch from (y0-2)//2 and
+    evaluates conv1 at the 4x4 high-res window from y0-1. Per axis, window pixel i
+    reads patch pixel (parity + i + di)//2 through tap di of a 3x3 kernel (parity =
+    y0 mod 2), and conv2 at tap pixel ty reads window pixel ty + di. So conv1 is
+    (class e = 2*ey + ex, window pixel, patch pixel, tap) -> (4, 16, 16, 9) and conv2
+    (tap pixel, window pixel, tap) -> (4, 16, 9).
     """
-
-    def __init__(self, shape: tuple[int, int, int], idx, uv):
-        p, h, w = shape
-        self.shape = (p, h, w)
-        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-        uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-        x0, x1, y0, y1, self.fx, self.fy = _bilerp_coords(h, w, uv)
-        rows = idx * (h + 2) + 1
-        self.taps = np.stack([(rows + y) * (w + 2) + x + 1
-                              for y, x in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))])
-        s0 = np.zeros((p, h + 2, w + 2), dtype=bool)
-        s0.reshape(-1)[self.taps.reshape(-1)] = True
-        self.s0 = s0
-        self.s1 = np.zeros_like(s0)
-        self.s1[:, 1:-1, 1:-1] = _dilate3x3(s0[:, 1:-1, 1:-1])
-
-    @property
-    def halo_fraction(self) -> float:
-        """Share of the P*H*W pixels in `s1`."""
-        p, h, w = self.shape
-        return np.count_nonzero(self.s1) / (p * h * w)
+    par, i, d = np.arange(2), np.arange(4), np.arange(3)
+    one1 = ((par[:, None, None, None] + i[:, None, None] + d) // 2 == i[:, None]).astype(np.int8)
+    one2 = (par[:, None, None] + d == i[:, None]).astype(np.int8)
+    w1 = np.einsum("airk,bjsl->abijrskl", one1, one1).reshape(4, 16, 16, 9)
+    w2 = np.einsum("aik,bjl->abijkl", one2, one2).reshape(4, 16, 9)
+    return w1, w2
 
 
-def _row_map(sites: np.ndarray, size: int) -> np.ndarray:
-    """For each of `size` flat pixels its row in `sites`, or len(sites), the zero row
-    `_gather` appends, if it is not a site."""
-    rows = np.full(size, len(sites), dtype=np.intp)
-    rows[sites] = np.arange(len(sites))
-    return rows
-
-
-def _gather(a: np.ndarray, row_map: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The rows of `a` at the pixels `ids` (any shape) through `row_map`; others read zero."""
-    return np.take(np.concatenate([a, np.zeros((1, a.shape[1]), dtype=a.dtype)]),
-                   np.take(row_map, ids), axis=0)
-
-
-# per axis, the kernel taps i whose shift i-1 reads low-res pixel q from high-res pixel
-# p = 2q + d, d = -1..2, through the nearest 2x upsample: d + i - 1 must be 0 or 1
-_PHASE_TAPS = np.array([[0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0]])
+_CONV1_AT, _CONV2_AT = _incidences()
 
 
 def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
-                      sites: TapSites) -> Tensor:
-    """grid_sample(conv_residual_block(upsample2x(x), k1, b1, k2, b2), idx, uv) -> (M, C)
-    for the lookups of `sites`, computing the block only where the lookups read it.
+                      idx, uv) -> Tensor:
+    """grid_sample(conv_residual_block(upsample2x(x), k1, b1, k2, b2), idx, uv) -> (M, C),
+    computing the block only in a 4x4 window around each lookup's taps.
 
-    x is (P,C,h,w) and `sites` is built for (P, 2h, 2w). conv2 runs at the tap pixels
-    S0 and conv1 at S1, their 3x3 dilation. conv1 reads x through the phase kernel K4,
-    k1's taps summed per displacement between high-res and low-res pixel (`_PHASE_TAPS`):
-    the S1 rows come in four parity blocks, each one gather of 2x2 low-res rows and one
-    GEMM with its 2x2 slice of K4. conv2 gathers (S0, 9*C) columns of position-major rows,
-    zero for the padding and the unset pixels, for one GEMM. The backward passes are
-    gathers and GEMMs too, K4's gradient is folded back to k1 once, and the one scatter
-    adds the four taps' gradients onto the S0 rows. One row map, of S1, serves every
-    gather: S0 lies inside S1, so conv2's gradient is read from a copy in S1 rows. Sums
-    run in another order than the dense block's, so the two agree to float rounding;
-    pixels the lookups do not read get exactly zero gradient.
+    x is (P,C,h,w). Each lookup gathers one 4x4xC low-res patch of x, from a
+    position-major frame zero-padded by one pixel before and two after. With its
+    parity class e the patch gives conv1 at the 16 window pixels in one GEMM with
+    W1[e] (16C, 16C), and conv2 at the 2x2 taps in one GEMM with W2 (16C, 4C); the
+    kernels are k1 and k2 contracted with `_CONV1_AT` and `_CONV2_AT`. Window pixels
+    outside the image are zeroed with the relu mask (conv2's zero padding), and the
+    residual up(x) is read from the patch. Lookups are computed sorted by class.
+    The backward pass runs the transposed GEMMs, folds the kernel gradients back
+    through the incidences, adds the residual gradient into the patch gradient and
+    that onto the frame in one flat scatter. Sums run in another order than the dense
+    block's, so the two agree to float rounding; pixels no lookup reads get exactly
+    zero gradient.
     """
     p, c, h, w = x.data.shape
     if k1.data.shape != (c, c, 3, 3) or k2.data.shape != (c, c, 3, 3):
         raise ValueError(f"kernel/channel mismatch: x {x.data.shape} vs k {k1.data.shape}, {k2.data.shape}")
-    if sites.shape != (p, 2 * h, 2 * w):
-        raise ValueError(f"sites are for {sites.shape}, the upsampled x is {(p, 2 * h, 2 * w)}")
     dt = np.result_type(x.data, k1.data, b1.data, k2.data, b2.data)
-    wp = 2 * w + 2  # row length of the padded high-res frame
-    offs = np.array([(i - 1) * wp + (j - 1) for i in range(3) for j in range(3)])  # tap t = 3i+j
-    s0, s1 = np.flatnonzero(sites.s0), np.flatnonzero(sites.s1)
-    # S1 in blocks by parity class e = 2*(row % 2) + column % 2 (wp and the frame height
-    # are even, so these are the parities of id // wp and id); block e's phase window
-    # lies at displacements 2 + parity and parity of K4 along each axis
-    cls = (2 * (s1 // wp % 2) + s1 % 2).astype(np.int8)
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    x0, _, y0, _, fx, fy = _bilerp_coords(2 * h, 2 * w, np.asarray(uv, dtype=np.float64).reshape(-1, 2))
+    cls = 2 * (y0 % 2) + x0 % 2
     order = np.argsort(cls, kind="stable")
-    s1, bounds = s1[order], np.searchsorted(cls[order], np.arange(5))
-    blocks = [(slice(bounds[e], bounds[e + 1]), np.s_[2 + e // 2::-2, 2 + e % 2::-2]) for e in range(4)]
-    map1 = _row_map(s1, sites.s1.size)
-    r0 = np.take(map1, s0)  # the S1 row of each S0 pixel: S0 lies inside S1
-    n0, n1 = len(s0), len(s1)
+    idx, x0, y0, fx, fy = idx[order], x0[order], y0[order], fx[order], fy[order]
+    bounds = np.searchsorted(cls[order], np.arange(5))
+    blocks = [slice(bounds[e], bounds[e + 1]) for e in range(4)]
+    m, rows_m = len(idx), np.arange(len(idx))
+    # each lookup's 16 patch pixels in the padded frame, the patch pixel under each of
+    # its four taps (00, 01, 10, 11), and which window pixels lie inside the image
+    ey, ex = (y0 % 2)[:, None], (x0 % 2)[:, None]
+    base = (idx * (h + 3) + (y0 - 2) // 2 + 1) * (w + 3) + (x0 - 2) // 2 + 1
+    ids = base[:, None] + (np.arange(4)[:, None] * (w + 3) + np.arange(4)).reshape(-1)
+    ty, tx = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    res = 4 * (1 + (ey + ty) // 2) + 1 + (ex + tx) // 2  # (M, 4)
+    win = np.arange(-1, 3)
+    inside = (((y0[:, None] + win < 2 * h) & (y0[:, None] + win >= 0))[:, :, None]
+              & ((x0[:, None] + win < 2 * w) & (x0[:, None] + win >= 0))[:, None, :])
 
-    # x as rows of a low-res frame padded like the high-res one
-    xz = np.zeros((p, h + 2, w + 2, c), dtype=dt)
-    xz[:, 1:-1, 1:-1] = x.data.transpose(0, 2, 3, 1)
-    xrows = xz.reshape(-1, c)
+    frame = np.zeros((p, h + 3, w + 3, c), dtype=dt)
+    frame[:, 1:h + 1, 1:w + 1] = x.data.transpose(0, 2, 3, 1)
+    patch = np.take(frame.reshape(-1, c), ids, axis=0).reshape(m, 16 * c)
+    i1, i2 = _CONV1_AT.astype(dt), _CONV2_AT.astype(dt)
+    w1 = np.tensordot(i1, k1.data.astype(dt, copy=False).reshape(c, c, 9), axes=([3], [2]))
+    w1 = w1.transpose(0, 2, 4, 1, 3).reshape(4, 16 * c, 16 * c)  # (e, patch*Cin, window*Cout)
+    w2 = np.tensordot(i2, k2.data.astype(dt, copy=False).reshape(c, c, 9), axes=([2], [2]))
+    w2 = w2.transpose(1, 3, 0, 2).reshape(16 * c, 4 * c)  # (window*Cin, tap*Cout)
 
-    def low_rows(ids: np.ndarray, lift: int) -> np.ndarray:
-        """Low-res padded row ((row + lift)//2, (col + lift)//2) of each padded high-res
-        id: lift 1 gives the pixel the upsample copies, lift 0 its phase window."""
-        img, rc = np.divmod(ids, (2 * h + 2) * wp)
-        r, col = np.divmod(rc, wp)
-        return (img * (h + 2) + (r + lift) // 2) * (w + 2) + (col + lift) // 2
-
-    ph = _PHASE_TAPS.astype(dt)
-    k4 = (ph @ k1.data.astype(dt, copy=False) @ ph.T).transpose(2, 3, 1, 0)  # (4, 4, Cin, Cout)
-    # conv1 at S1: each pixel reads the 2x2 low-res pixels of its phase window
-    col1 = np.take(xrows, low_rows(s1, 0)[:, None] + [0, 1, w + 2, w + 3], axis=0).reshape(n1, 4 * c)
-    pre1 = np.empty((n1, c), dtype=dt)
-    for rows, kb in blocks:
-        pre1[rows] = col1[rows] @ k4[kb].reshape(4 * c, c)
-    pre1 += b1.data
+    pre1 = np.empty((m, 16 * c), dtype=dt)
+    for e, rows in enumerate(blocks):
+        np.matmul(patch[rows], w1[e], out=pre1[rows])
+    pre1 += np.tile(b1.data.astype(dt, copy=False), 16)
+    pre1.reshape(m, 16, c)[~inside.reshape(m, 16)] = 0
     _note_kinks(pre1)
-    # conv2 at S0, reading relu(conv1) from the S1 rows; the residual input is up(x) at S0
-    col2 = _gather(np.maximum(pre1, 0), map1, s0[:, None] + offs).reshape(n0, 9 * c)
-    k2m = k2.data.transpose(2, 3, 1, 0).reshape(9 * c, c).astype(dt, copy=False)
-    pre2 = np.take(xrows, low_rows(s0, 1), axis=0) + (col2 @ k2m + b2.data)
+    a1 = np.maximum(pre1, 0)
+    pre2 = (a1 @ w2 + np.tile(b2.data.astype(dt, copy=False), 4)).reshape(m, 4, c)
+    patch3 = patch.reshape(m, 16, c)
+    for t in range(4):
+        pre2[:, t] += patch3[rows_m, res[:, t]]
     _note_kinks(pre2)
     y = np.maximum(pre2, 0)
-
-    weights = _bilerp_weights(sites.fx, sites.fy, dt)
-    taps = np.take(_row_map(r0, n1), np.take(map1, sites.taps))  # (4, M) rows of S0
-    v = np.take(y, taps, axis=0)
-    out_d = v[0] * weights[0] + v[1] * weights[1] + v[2] * weights[2] + v[3] * weights[3]
+    weights = _bilerp_weights(fx, fy, dt)
+    out_d = np.empty((m, c), dtype=dt)
+    out_d[order] = y[:, 0] * weights[0] + y[:, 1] * weights[1] + y[:, 2] * weights[2] + y[:, 3] * weights[3]
     out = _out(out_d, x, k1, b1, k2, b2)
 
     def bw(g):
-        # the four taps' gradients onto the S0 rows, in one flat scatter
-        gy = np.zeros(n0 * c, dtype=dt)
-        np.add.at(gy, (taps[..., None] * c + np.arange(c)).reshape(-1),
-                  np.stack([g * wk for wk in weights]).reshape(-1))
-        gpre2 = gy.reshape(n0, c) * (pre2 > 0)
-        g2 = np.zeros((n1, c), dtype=dt)  # gpre2 in S1 rows, zero off S0
-        g2[r0] = gpre2
-        # conv2 backward: S1 pixel s takes tap t's gradient from S0 pixel s - off_t
-        gcol = _gather(g2, map1, s1[:, None] - offs).reshape(n1, 9 * c)
-        k2t = k2.data.transpose(2, 3, 0, 1).reshape(9 * c, c).astype(dt, copy=False)
-        gpre1 = (gcol @ k2t) * (pre1 > 0)
+        g = g[order]
+        gpre2 = np.stack([g * wk for wk in weights], axis=1) * (pre2 > 0)  # (M, 4, C)
+        gpre2f = gpre2.reshape(m, 4 * c)
+        gpre1 = (gpre2f @ w2.T) * (pre1 > 0)
         gk1 = gk2 = gx = None
-        if k1.requires_grad:  # per parity block into K4's gradient, then folded back once
-            gk4 = np.empty((4, 4, c, c), dtype=dt)
-            for rows, kb in blocks:
-                gk4[kb] = (col1[rows].T @ gpre1[rows]).reshape(2, 2, c, c)
-            gk1 = ph.T @ gk4.transpose(3, 2, 0, 1) @ ph
+        if k1.requires_grad:
+            gw1 = np.stack([patch[rows].T @ gpre1[rows] for rows in blocks]).reshape(4, 16, c, 16, c)
+            gk1 = np.tensordot(i1, gw1, axes=([0, 1, 2], [0, 3, 1]))
+            gk1 = np.ascontiguousarray(gk1.transpose(2, 1, 0).reshape(c, c, 3, 3))
         if k2.requires_grad:
-            gk2 = np.ascontiguousarray((col2.T @ gpre2).reshape(3, 3, c, c).transpose(3, 2, 0, 1))
+            gw2 = (a1.T @ gpre2f).reshape(16, c, 4, c)
+            gk2 = np.tensordot(i2, gw2, axes=([0, 1], [2, 0]))
+            gk2 = np.ascontiguousarray(gk2.transpose(2, 1, 0).reshape(c, c, 3, 3))
         if x.requires_grad:
-            gx = _residual_block_at_gx(gpre1, g2, map1, sites, k4)
-        return gx, gk1, gpre1.sum(axis=0), gk2, gpre2.sum(axis=0)
+            gpatch = np.empty((m, 16 * c), dtype=dt)
+            for e, rows in enumerate(blocks):
+                np.matmul(gpre1[rows], w1[e].T, out=gpatch[rows])
+            gpatch3 = gpatch.reshape(m, 16, c)
+            for t in range(4):  # one tap at a time: two taps can share a patch pixel
+                gpatch3[rows_m, res[:, t]] += gpre2[:, t]
+            gframe = np.zeros((p, h + 3, w + 3, c), dtype=dt)
+            np.add.at(gframe.reshape(-1), (ids[..., None] * c + np.arange(c)).reshape(-1), gpatch.reshape(-1))
+            gx = np.ascontiguousarray(gframe[:, 1:h + 1, 1:w + 1].transpose(0, 3, 1, 2))
+        gb1 = gpre1.sum(axis=0).reshape(16, c).sum(axis=0)
+        return gx, gk1, gb1, gk2, gpre2f.sum(axis=0).reshape(4, c).sum(axis=0)
 
     return _emit(out, (x, k1, b1, k2, b2), bw)
-
-
-def _residual_block_at_gx(gpre1, gpre2, map1, sites: TapSites, k4: np.ndarray) -> np.ndarray:
-    """Gradient of `residual_block_at` with respect to its low-res input x (P,C,h,w).
-
-    Low-res pixel q collects conv1's input gradient from the S1 pixels of the 4x4
-    high-res window 2q + d, d = -1..2, through the phase kernel k4 (4, 4, Cin, Cout):
-    one gather of 16 S1 rows and one GEMM per low-res pixel, plus the residual gradient
-    of its four upsampled copies. Both gradients come in S1 rows (conv2's is zero off
-    S0) and are read through `map1`. Only low-res pixels whose window meets S1 are
-    computed; the rest are zero.
-    """
-    p, hp, wp = sites.s1.shape
-    h, w = (hp - 2) // 2, (wp - 2) // 2
-    c = gpre1.shape[1]
-    # low-res pixels whose 4x4 window (padded rows and columns 2a..2a+3) meets S1
-    pairs = sites.s1[:, 0::2] | sites.s1[:, 1::2]
-    rows = pairs[:, :-1] | pairs[:, 1:]
-    pairs = rows[:, :, 0::2] | rows[:, :, 1::2]
-    live = np.flatnonzero(pairs[:, :, :-1] | pairs[:, :, 1:])
-    img, rc = np.divmod(live, h * w)
-    a, b = np.divmod(rc, w)
-    base = (img * hp + 2 * a + 1) * wp + 2 * b + 1  # padded high-res id of 2q
-    d = np.arange(-1, 3)
-    disp = (d[:, None] * wp + d[None, :]).reshape(-1)
-    kd = k4.transpose(0, 1, 3, 2).reshape(16 * c, c)  # (4, 4, Cout, Cin)
-    gq = _gather(gpre1, map1, base[:, None] + disp).reshape(len(live), 16 * c) @ kd
-    res = _gather(gpre2, map1, base[:, None] + disp[[5, 6, 9, 10]])
-    gq += (res[:, 0] + res[:, 1]) + (res[:, 2] + res[:, 3])
-    gx = np.zeros((p * h * w, c), dtype=gpre1.dtype)
-    gx[live] = gq
-    return np.ascontiguousarray(gx.reshape(p, h, w, c).transpose(0, 3, 1, 2))
 
 
 # ---------------------------------------------------------------------------

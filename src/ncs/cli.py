@@ -101,7 +101,8 @@ def _restore(path):
 def _eval_positions(params, q, faces, bary, patchset, workers=1, coarse_only=False):
     """Model positions (N, 3) of samples given as chart points q (N, 2) and rows of
     (parent face, barycentric weights), in fixed chunks over `workers` threads. Each
-    chunk builds its own blend pairs, so no pair array covers more than one chunk."""
+    chunk builds its own blend pairs, so no pair array covers more than one chunk.
+    Raises NumericError if any position is not finite."""
     n = len(q)
     positions = np.empty((n, 3))
     grids = None if coarse_only else decode_grids(params)
@@ -121,6 +122,10 @@ def _eval_positions(params, q, faces, bary, patchset, workers=1, coarse_only=Fal
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             fallbacks = sum(ex.map(run, starts))
+    # every command exports or measures these positions: none may be nan or inf
+    bad = np.count_nonzero(~np.isfinite(positions).all(axis=1))
+    if bad:
+        raise NumericError(f"{bad} of {n} model positions are not finite")
     return positions, fallbacks
 
 
@@ -278,8 +283,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    if not (np.isfinite(args.factor) and args.factor >= 0):
-        raise ConfigError(f"--factor must be finite and >= 0, got {args.factor}")
+    with np.errstate(over="ignore"):
+        factor32 = np.float32(args.factor)  # the precision the model scales its features in
+    if not (np.isfinite(factor32) and args.factor >= 0):
+        raise ConfigError(f"--factor must be >= 0 and finite in float32, got {args.factor}")
     workers = _workers()
     _, state = _restore(args.checkpoint)
     mesh, chart, patchset, params = state

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 from scipy.spatial import cKDTree
 
 from .errors import MeshError
@@ -253,19 +252,6 @@ def edge_graph(mesh: TriMesh) -> csr_matrix:
         (np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
         shape=(n, n),
     )
-
-
-def vertex_geodesics(mesh: TriMesh, source: int, graph: csr_matrix | None = None,
-                     limit: float = np.inf) -> np.ndarray:
-    """Dijkstra distances over the edge graph from `source`; unreached vertices get +inf.
-
-    This is the edge-graph approximation of geodesic distance: it never underestimates
-    the true polyhedral geodesic and is exact on the graph itself.
-    """
-    if not 0 <= source < mesh.n_vertices:
-        raise MeshError(f"source vertex {source} out of range")
-    g = edge_graph(mesh) if graph is None else graph
-    return _dijkstra(g, directed=False, indices=source, limit=limit)
 
 
 def sample_faces(area_cum: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

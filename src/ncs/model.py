@@ -314,8 +314,8 @@ def _fine_mlp(params: ModelParams, feats: ad.Tensor) -> ad.Tensor:
     return ad.linear(h, wo, bo)
 
 
-# the last CNN block runs only where the lookups read it when their 3x3 halo (S1) surely
-# covers at most this share of the decoded pixels; above it the dense decode is faster
+# the last CNN block runs only in each lookup's 4x4 window when the 16 window pixels per
+# lookup cover at most this share of the decoded pixels; above it the dense decode is faster
 _RESTRICT_MAX_HALO = 0.5
 
 
@@ -326,20 +326,19 @@ def _features(params: ModelParams, pair_patch, pair_uv, grids: ad.Tensor | None)
     caller passes, so training, evaluation and feature maps read the same taps.
     Callers that pass decoded `grids` (the CLI's dense evaluation) sample them
     bilinearly. Without `grids`, blocks 0..B-2 run densely and the last block runs
-    only at the pixels the lookups read and their 3x3 halo (`ad.residual_block_at`)
-    when that halo is sure to cover at most half of the P*H*W decoded pixels: it is at
-    most the 4x4 pixels around each lookup's 2x2 taps, so the rule is 16*M <= P*H*W/2.
-    Otherwise the whole decode runs densely. With 2,048-sample batches (about 3,800
-    lookups) this restricts on the reference architecture (128x128 grids) and stays
-    dense on the desk architecture (32x32 grids); a single point reads a few pixels
-    per patch.
+    only in the 4x4 high-res window around each lookup's 2x2 taps
+    (`ad.residual_block_at`) when those 16 pixels per lookup are at most half of the
+    P*H*W decoded pixels: 16*M <= P*H*W/2. Otherwise the whole decode runs densely.
+    With 2,048-sample batches (about 3,800 lookups) this restricts on the reference
+    architecture (128x128 grids) and stays dense on the desk architecture (32x32
+    grids); a single point reads a few pixels per patch.
     """
     pair_uv = np.asarray(pair_uv, dtype=params.dtype())
     if grids is None:
         h, w = params.config.grid_size()
         if 16 * len(pair_patch) <= _RESTRICT_MAX_HALO * params.n_patches * h * w:
-            sites = ad.TapSites((params.n_patches, h, w), pair_patch, pair_uv)
-            feats = ad.residual_block_at(_decode(params.codes, params.cnn[:-1]), *params.cnn[-1], sites)
+            feats = ad.residual_block_at(_decode(params.codes, params.cnn[:-1]), *params.cnn[-1],
+                                         pair_patch, pair_uv)
         else:
             grids = decode_grids(params)
     if grids is not None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ncs import autodiff as ad
@@ -280,14 +282,9 @@ def dense_block_then_sample(x, k1, b1, k2, b2, idx, uv):
     return ad.grid_sample(ad.conv_residual_block(ad.upsample2x(x), k1, b1, k2, b2), idx, uv)
 
 
-def restricted_block(x, k1, b1, k2, b2, idx, uv):
-    p, _, h, w = x.data.shape
-    return ad.residual_block_at(x, k1, b1, k2, b2, ad.TapSites((p, 2 * h, 2 * w), idx, uv))
-
-
 class TestResidualBlockAt:
-    """The last decoder block evaluated only at the lookups' pixels, against the dense
-    block followed by grid_sample: features and the gradients of x, k1, b1, k2, b2."""
+    """The last decoder block evaluated only in each lookup's 4x4 window, against the
+    dense block followed by grid_sample: features and the gradients of x, k1, b1, k2, b2."""
 
     TOL = {np.float32: 1e-5, np.float64: 1e-12}  # relative to the oracle's max |value|
 
@@ -331,7 +328,7 @@ class TestResidualBlockAt:
         ks = [(r.normal(size=(c, c, 3, 3)) * 0.4).astype(dtype), (r.normal(size=c) * 0.1).astype(dtype),
               (r.normal(size=(c, c, 3, 3)) * 0.4).astype(dtype), (r.normal(size=c) * 0.1).astype(dtype)]
         g = r.normal(size=(len(idx), c)).astype(dtype)
-        got = self._run(restricted_block, x, ks, idx, uv, g)
+        got = self._run(ad.residual_block_at, x, ks, idx, uv, g)
         want = self._run(dense_block_then_sample, x, ks, idx, uv, g)
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape and a.dtype == dtype
@@ -346,34 +343,73 @@ class TestResidualBlockAt:
         ks = [ad.param(r.normal(size=(2, 2, 3, 3)) * 0.4), ad.param(r.normal(size=2) * 0.1),
               ad.param(r.normal(size=(2, 2, 3, 3)) * 0.4), ad.param(r.normal(size=2) * 0.1)]
         v = r.normal(size=(len(idx), 2))
-        err = fd(lambda ps: weighted_sum(restricted_block(*ps, idx, uv), v), [x] + ks)
+        err = fd(lambda ps: weighted_sum(ad.residual_block_at(*ps, idx, uv), v), [x] + ks)
         assert err < 1e-6
 
-    def test_sites(self):
-        # taps of one lookup at the top-left pixel centre of a 1 x 4 x 6 image: the pixel
-        # and its right and lower neighbours (weights 0), and their 3x3 dilation
-        sites = ad.TapSites((1, 4, 6), [0], [[-1.0, -1.0]])
-        assert np.array_equal(np.argwhere(sites.s0[0]) - 1, [[0, 0], [0, 1], [1, 0], [1, 1]])
-        assert np.count_nonzero(sites.s1) == 9 and sites.s1[0, 1:4, 1:4].all()
-        assert sites.halo_fraction == 9 / 24
-        assert not sites.s0[:, 0].any() and not sites.s1[:, :, 0].any()  # padding stays unset
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+           st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_matches_dense_property(self, p, c, h, w, m, seed):
+        # random shapes down to 1, with clamped lookups and lookups sharing pixels
+        r = np.random.default_rng(seed)
+        idx = r.integers(0, p, size=m)
+        uv = r.uniform(-1.3, 1.3, size=(m, 2))
+        if m > 2:  # one lookup repeated, one next to it
+            uv[1:3], idx[1:3] = uv[0] + [[0, 0], r.uniform(-0.1, 0.1, size=2) / max(h, w)], idx[0]
+        x = r.normal(size=(p, c, h, w))
+        ks = [r.normal(size=(c, c, 3, 3)) * 0.4, r.normal(size=c) * 0.1,
+              r.normal(size=(c, c, 3, 3)) * 0.4, r.normal(size=c) * 0.1]
+        g = r.normal(size=(m, c))
+        got = self._run(ad.residual_block_at, x, ks, idx, uv, g)
+        want = self._run(dense_block_then_sample, x, ks, idx, uv, g)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape
+            assert float(np.abs(a - b).max()) <= 1e-12 * float(np.abs(b).max())
 
     @pytest.mark.parametrize("case", ["random", "borders", "clamped", "same_pixel"])
     @pytest.mark.parametrize("p,h,w", [(3, 6, 8), (2, 2, 2), (1, 16, 16)])
     def test_halo_at_most_16_per_lookup(self, case, p, h, w):
-        # the restrict rule's bound: a lookup's S1 is within the 4x4 pixels around its taps
+        # the restrict rule's count, on the dense ops: lookups into conv2's output read
+        # conv1's output (P, h, w) only inside their 4x4 windows, rows y0-1..y0+2 and
+        # columns x0-1..x0+2 around the tap origin, so at most 16 pixels per lookup
         r = np.random.default_rng(h * w + p)
+        a1 = ad.param(r.normal(size=(p, 2, h, w)))
+        k2, b2 = ad.const(r.normal(size=(2, 2, 3, 3))), ad.const(np.zeros(2))
         for m in (1, 5, 40):
-            idx, uv = self._lookups(case, p, h, w, r)
-            sites = ad.TapSites((p, h, w), idx[:m], uv[:m])
-            assert np.count_nonzero(sites.s1) <= 16 * m
+            idx, uv = self._lookups(case, p, h // 2, w // 2, r)
+            idx, uv = idx[:m], uv[:m]
+            with ad.Tape() as tape:
+                out = weighted_sum(ad.grid_sample(ad.conv3x3(a1, k2, b2), idx, uv), r.normal(size=(m, 2)))
+            (ga,) = ad.backprop(tape, out, leaves=[a1])
+            read = np.abs(ga).sum(axis=1) > 0
+            x0, _, y0, _, _, _ = ad._bilerp_coords(h, w, uv)
+            window = np.zeros((p, h + 2, w + 2), dtype=bool)  # padded by one on every side
+            for i, y, x in zip(idx, y0, x0):
+                window[i, y:y + 4, x:x + 4] = True
+            assert not (read & ~window[:, 1:-1, 1:-1]).any()
+            assert np.count_nonzero(read) <= 16 * m
 
-    def test_rejects_mismatched_sites(self):
-        x = ad.param(np.zeros((2, 2, 3, 3), dtype=np.float32))
+    def test_conv1_window_pixels_read_nine_taps_per_class(self):
+        # in every parity class, each of the 16 window pixels reads each 3x3 tap exactly once
+        assert ad._CONV1_AT.shape == (4, 16, 16, 9)
+        assert np.array_equal(ad._CONV1_AT.sum(axis=2), np.ones((4, 16, 9)))
+        assert np.array_equal(ad._CONV1_AT.sum(axis=(2, 3)), np.full((4, 16), 9))
+
+    def test_conv2_reads_inside_the_window(self):
+        # each tap pixel's 3x3 taps all land on the 4x4 window, at (ty + di, tx + dj)
+        assert ad._CONV2_AT.shape == (4, 16, 9)
+        assert np.array_equal(ad._CONV2_AT.sum(axis=1), np.ones((4, 9)))
+        for t in range(4):
+            ty, tx = divmod(t, 2)
+            want = [(ty + i + 1) * 4 + tx + j + 1 for i in range(-1, 2) for j in range(-1, 2)]
+            assert np.array_equal(np.argmax(ad._CONV2_AT[t], axis=0), want)
+
+    def test_rejects_kernel_channel_mismatch(self):
+        x = ad.param(np.zeros((2, 3, 3, 3), dtype=np.float32))
         k = ad.param(np.zeros((2, 2, 3, 3), dtype=np.float32))
         b = ad.param(np.zeros(2, dtype=np.float32))
-        with pytest.raises(ValueError, match="sites"):
-            ad.residual_block_at(x, k, b, k, b, ad.TapSites((2, 4, 4), [0], [[0.0, 0.0]]))
+        with pytest.raises(ValueError, match="kernel/channel"):
+            ad.residual_block_at(x, k, b, k, b, [0], [[0.0, 0.0]])
 
 
 class TestBackprop:

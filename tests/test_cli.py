@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import GLOBAL_RECORD_EDITS, PATCH_RECORD_EDITS, break_record, pack_checkpoint, split_checkpoint
-from ncs import synth
+from ncs import checkpoint as ck_io, synth
 from ncs.cli import main
 from ncs.config import parse_config_text
 from ncs.errors import ConfigError
@@ -228,13 +229,39 @@ class TestExitCodes:
         assert main(["eval", str(out / "model.ncs"), str(mesh_file), "--samples", samples]) == 2
         assert "--samples" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("factor", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("factor", ["-1", "nan", "inf", "1e308"])
     def test_edit_negative_factor_is_2(self, fitted_run, tmp_path, factor, capsys):
         _, out = fitted_run
         assert main(["edit", str(out / "model.ncs"), "--factor", factor,
                      "-o", str(tmp_path / "e.obj")]) == 2
         assert "--factor" in capsys.readouterr().err
         assert not (tmp_path / "e.obj").exists()
+
+    @pytest.mark.parametrize("argv", [
+        lambda bad, good, mesh, out: ["reconstruct", bad, "-o", out],
+        lambda bad, good, mesh, out: ["reconstruct", bad, "--mode", "dense", "--res", "24", "-o", out],
+        lambda bad, good, mesh, out: ["edit", bad, "--factor", "2", "-o", out],
+        lambda bad, good, mesh, out: ["transfer", bad, good, "-o", out],
+        lambda bad, good, mesh, out: ["eval", bad, mesh, "--samples", "500", "--json", out],
+    ], ids=["reconstruct", "reconstruct_dense", "edit", "transfer", "eval"])
+    def test_non_finite_model_is_4(self, fitted_run, mesh_file, tmp_path, argv, capsys):
+        # a CRC-valid checkpoint holding one nan weight gives nan positions: nothing is
+        # written and the error is reported without a traceback
+        _, out = fitted_run
+        meta, records = split_checkpoint((out / "model.ncs").read_bytes())
+        names = [ck_io._read_record(memoryview(r), 0)[0] for r in records]
+        w = ck_io._read_record(memoryview(records[names.index("tensor.fine0.w")]), 0)[1].copy()
+        w.flat[0] = np.nan
+        buf = io.BytesIO()
+        ck_io._write_record(buf, "tensor.fine0.w", w)
+        records[names.index("tensor.fine0.w")] = buf.getvalue()
+        bad = tmp_path / "nan.ncs"
+        bad.write_bytes(pack_checkpoint(meta, records))
+        target = tmp_path / "o.out"
+        assert main(argv(str(bad), str(out / "model.ncs"), str(mesh_file), str(target))) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and "not finite" in err and "Traceback" not in err
+        assert not target.exists()
 
     @pytest.mark.parametrize("res", ["-1", "0", "1"])
     def test_dense_res_below_two_is_2(self, fitted_run, tmp_path, res, capsys):

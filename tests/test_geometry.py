@@ -10,7 +10,8 @@ from ncs import synth
 from ncs.errors import MeshError
 from ncs.geometry import (TriMesh, _chamfer_tree, _nn_squared, chamfer_distance, edge_graph,
                           export_mesh, face_areas, load_mesh, normalize_unit_sphere,
-                          sample_surface_arrays, vertex_geodesics)
+                          sample_surface_arrays)
+from ncs.patching import _dijkstra
 
 
 def write(tmp_path, text, name="m.obj"):
@@ -86,20 +87,25 @@ class TestNormalize:
             normalize_unit_sphere(m)
 
 
+def edge_geodesics(mesh, source):
+    """Edge-graph Dijkstra distances from `source`, as `extract_patches` computes them."""
+    return _dijkstra(edge_graph(mesh), directed=False, indices=source)
+
+
 class TestGeodesics:
     def test_collinear_path(self):
         m = TriMesh(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), np.array([[0, 1, 2]]))
-        d = vertex_geodesics(m, 0)
+        d = edge_geodesics(m, 0)
         np.testing.assert_allclose(d, [0, 1, 2])
 
     def test_source_distance_zero(self, bumpy16):
         mesh = bumpy16[0]
-        assert vertex_geodesics(mesh, 5)[5] == 0.0
+        assert edge_geodesics(mesh, 5)[5] == 0.0
 
     def test_square_diagonal(self):
         v = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
         m = TriMesh(v, np.array([[0, 1, 2], [0, 2, 3]]))
-        d = vertex_geodesics(m, 0)
+        d = edge_geodesics(m, 0)
         assert d[2] == pytest.approx(np.sqrt(2))  # diagonal beats the two unit edges
 
     def test_matches_floyd_warshall(self):
@@ -111,12 +117,12 @@ class TestGeodesics:
         for k in range(n):
             dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
         for src in range(0, n, 3):
-            np.testing.assert_allclose(vertex_geodesics(mesh, src), dist[src], atol=1e-12)
+            np.testing.assert_allclose(edge_geodesics(mesh, src), dist[src], atol=1e-12)
 
     def test_unreachable_inf(self):
         v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [5.0, 5, 0], [6, 5, 0], [5, 6, 0]])
         m = TriMesh(v, np.array([[0, 1, 2], [3, 4, 5]]))
-        d = vertex_geodesics(m, 0)
+        d = edge_geodesics(m, 0)
         assert np.isinf(d[3])
 
 

@@ -235,12 +235,13 @@ def _as_dtype(params, dtype):
 
 
 def _spy_restricted(monkeypatch):
-    """Count the calls of ad.residual_block_at made through the model."""
+    """Record the calls of ad.residual_block_at made through the model: one entry per
+    call, its number of lookups."""
     calls = []
     real = ad.residual_block_at
 
     def spy(*args):
-        calls.append(args[-1].halo_fraction)
+        calls.append(len(args[-2]))
         return real(*args)
 
     monkeypatch.setattr(ad, "residual_block_at", spy)
@@ -248,9 +249,9 @@ def _spy_restricted(monkeypatch):
 
 
 class TestRestrictedDecode:
-    """Without decoded grids, the fine branch runs the last CNN block only at the pixels
-    the lookups read and their 3x3 halo, when that halo covers at most half of the
-    decoded pixels; it matches the dense decode followed by grid_sample."""
+    """Without decoded grids, the fine branch runs the last CNN block only in each
+    lookup's 4x4 window, when those windows cover at most half of the decoded pixels;
+    it matches the dense decode followed by grid_sample."""
 
     TOL = {np.float32: 1e-5, np.float64: 1e-12}  # relative to the oracle's max |value|
 
@@ -275,7 +276,7 @@ class TestRestrictedDecode:
         assert untouched  # a patch no sample touches
         calls = _spy_restricted(monkeypatch)
         got = self._displacement(params, batch, dense=False)
-        assert len(calls) == 1 and calls[0] <= 0.5
+        assert calls == [len(batch.pair_patch)]
         want = self._displacement(params, batch, dense=True)
         assert len(calls) == 1
         for a, b in zip(got, want, strict=True):
@@ -306,7 +307,7 @@ class TestRestrictedDecode:
         with ad.Tape() as tape:
             y = loss(probe)
         gmax = max(float(np.abs(g).max()) for g in ad.backprop(tape, y, leaves=probe))
-        assert calls and max(calls) <= 0.5
+        assert calls == [len(batch.pair_patch)]
         err = ad.finite_diff_check(lambda ps: loss(ps, 1.0 / gmax), probe, eps=1e-3, n_coords=200, seed=3)
         assert err < 1e-6
 
@@ -336,8 +337,8 @@ class TestRestrictRule:
         params = mo.build_model(cfg, patchset, seed=3)
         batch = tr.sample_batch(ctx, 2048, seed=0)
         h, w = cfg.grid_size()
-        halo = ad.TapSites((patchset.n_patches, h, w), batch.pair_patch, batch.pair_uv).halo_fraction
-        assert (halo < 0.3) if restricted else (halo > 0.7)
+        share = 16 * len(batch.pair_patch) / (patchset.n_patches * h * w)  # window pixels read
+        assert (share < 0.3) if restricted else (share > 0.7)
         calls = _spy_restricted(monkeypatch)
         tr.forward_losses(params, batch)
         assert bool(calls) == restricted
