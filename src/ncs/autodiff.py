@@ -551,25 +551,28 @@ def bilinear_sample(grid: Tensor, uv) -> Tensor:
 # a residual block evaluated only where bilinear lookups read it
 # ---------------------------------------------------------------------------
 
-def _incidences() -> tuple[np.ndarray, np.ndarray]:
-    """0/1 tensors of "nearest 2x, then 3x3" inside one lookup's window.
+def _incidences() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """"Nearest 2x, then 3x3" inside one lookup's window: two 0/1 tensors and a tap table.
 
     A lookup with tap origin (y0, x0) reads its 4x4 low-res patch from (y0-2)//2 and
     evaluates conv1 at the 4x4 high-res window from y0-1. Per axis, window pixel i
     reads patch pixel (parity + i + di)//2 through tap di of a 3x3 kernel (parity =
     y0 mod 2), and conv2 at tap pixel ty reads window pixel ty + di. So conv1 is
     (class e = 2*ey + ex, window pixel, patch pixel, tap) -> (4, 16, 16, 9) and conv2
-    (tap pixel, window pixel, tap) -> (4, 16, 9).
+    (tap pixel, window pixel, tap) -> (4, 16, 9). Tap pixel ty is window pixel ty + 1,
+    whose centre tap reads its nearest-2x patch pixel: (class, tap) -> (4, 4) ids.
     """
     par, i, d = np.arange(2), np.arange(4), np.arange(3)
     one1 = ((par[:, None, None, None] + i[:, None, None] + d) // 2 == i[:, None]).astype(np.int8)
     one2 = (par[:, None, None] + d == i[:, None]).astype(np.int8)
     w1 = np.einsum("airk,bjsl->abijrskl", one1, one1).reshape(4, 16, 16, 9)
     w2 = np.einsum("aik,bjl->abijkl", one2, one2).reshape(4, 16, 9)
-    return w1, w2
+    tap = one1[:, 1:3, :, 1].argmax(axis=2)  # (parity, tap) -> patch pixel
+    under = (4 * tap[:, None, :, None] + tap[None, :, None, :]).reshape(4, 4)
+    return w1, w2, under
 
 
-_CONV1_AT, _CONV2_AT = _incidences()
+_CONV1_AT, _CONV2_AT, _TAP_AT = _incidences()
 
 
 def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
@@ -583,7 +586,7 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     W1[e] (16C, 16C), and conv2 at the 2x2 taps in one GEMM with W2 (16C, 4C); the
     kernels are k1 and k2 contracted with `_CONV1_AT` and `_CONV2_AT`. Window pixels
     outside the image are zeroed with the relu mask (conv2's zero padding), and the
-    residual up(x) is read from the patch. Lookups are computed sorted by class.
+    residual up(x) is read at the patch pixels `_TAP_AT` lists. Lookups run sorted by class.
     The backward pass runs the transposed GEMMs, folds the kernel gradients back
     through the incidences, adds the residual gradient into the patch gradient and
     that onto the frame in one flat scatter. Sums run in another order than the dense
@@ -601,14 +604,10 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     idx, x0, y0, fx, fy = idx[order], x0[order], y0[order], fx[order], fy[order]
     bounds = np.searchsorted(cls[order], np.arange(5))
     blocks = [slice(bounds[e], bounds[e + 1]) for e in range(4)]
-    m, rows_m = len(idx), np.arange(len(idx))
-    # each lookup's 16 patch pixels in the padded frame, the patch pixel under each of
-    # its four taps (00, 01, 10, 11), and which window pixels lie inside the image
-    ey, ex = (y0 % 2)[:, None], (x0 % 2)[:, None]
+    m = len(idx)
+    # each lookup's 16 patch pixels in the padded frame; its window pixels inside the image
     base = (idx * (h + 3) + (y0 - 2) // 2 + 1) * (w + 3) + (x0 - 2) // 2 + 1
     ids = base[:, None] + (np.arange(4)[:, None] * (w + 3) + np.arange(4)).reshape(-1)
-    ty, tx = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-    res = 4 * (1 + (ey + ty) // 2) + 1 + (ex + tx) // 2  # (M, 4)
     win = np.arange(-1, 3)
     inside = (((y0[:, None] + win < 2 * h) & (y0[:, None] + win >= 0))[:, :, None]
               & ((x0[:, None] + win < 2 * w) & (x0[:, None] + win >= 0))[:, None, :])
@@ -631,8 +630,9 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     a1 = np.maximum(pre1, 0)
     pre2 = (a1 @ w2 + np.tile(b2.data.astype(dt, copy=False), 4)).reshape(m, 4, c)
     patch3 = patch.reshape(m, 16, c)
-    for t in range(4):
-        pre2[:, t] += patch3[rows_m, res[:, t]]
+    for e, rows in enumerate(blocks):
+        for t in range(4):
+            pre2[rows, t] += patch3[rows, _TAP_AT[e, t]]
     _note_kinks(pre2)
     y = np.maximum(pre2, 0)
     weights = _bilerp_weights(fx, fy, dt)
@@ -659,8 +659,9 @@ def residual_block_at(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
             for e, rows in enumerate(blocks):
                 np.matmul(gpre1[rows], w1[e].T, out=gpatch[rows])
             gpatch3 = gpatch.reshape(m, 16, c)
-            for t in range(4):  # one tap at a time: two taps can share a patch pixel
-                gpatch3[rows_m, res[:, t]] += gpre2[:, t]
+            for e, rows in enumerate(blocks):
+                for t in range(4):  # one tap at a time: two taps can share a patch pixel
+                    gpatch3[rows, _TAP_AT[e, t]] += gpre2[rows, t]
             gframe = np.zeros((p, h + 3, w + 3, c), dtype=dt)
             np.add.at(gframe.reshape(-1), (ids[..., None] * c + np.arange(c)).reshape(-1), gpatch.reshape(-1))
             gx = np.ascontiguousarray(gframe[:, 1:h + 1, 1:w + 1].transpose(0, 3, 1, 2))

@@ -106,7 +106,6 @@ def _eval_positions(params, q, faces, bary, patchset, workers=1, coarse_only=Fal
     n = len(q)
     positions = np.empty((n, 3))
     grids = None if coarse_only else decode_grids(params)
-    patchset.line_pack()  # built once here, not by each thread
 
     def run(s):
         e = min(s + _EVAL_CHUNK, n)

@@ -314,29 +314,24 @@ def _fine_mlp(params: ModelParams, feats: ad.Tensor) -> ad.Tensor:
     return ad.linear(h, wo, bo)
 
 
-# the last CNN block runs only in each lookup's 4x4 window when the 16 window pixels per
-# lookup cover at most this share of the decoded pixels; above it the dense decode is faster
-_RESTRICT_MAX_HALO = 0.5
-
-
 def _features(params: ModelParams, pair_patch, pair_uv, grids: ad.Tensor | None) -> ad.Tensor:
     """Decoded feature vector of each (patch, uv) lookup, times `detail_scale`: (M, C).
 
     The lookups read `pair_uv` rounded to the model's dtype, whatever dtype the
     caller passes, so training, evaluation and feature maps read the same taps.
     Callers that pass decoded `grids` (the CLI's dense evaluation) sample them
-    bilinearly. Without `grids`, blocks 0..B-2 run densely and the last block runs
-    only in the 4x4 high-res window around each lookup's 2x2 taps
-    (`ad.residual_block_at`) when those 16 pixels per lookup are at most half of the
-    P*H*W decoded pixels: 16*M <= P*H*W/2. Otherwise the whole decode runs densely.
-    With 2,048-sample batches (about 3,800 lookups) this restricts on the reference
-    architecture (128x128 grids) and stays dense on the desk architecture (32x32
-    grids); a single point reads a few pixels per patch.
+    bilinearly. Without `grids`, blocks 0..B-2 run densely and the last block is
+    chosen by pixel work: the window op (`ad.residual_block_at`) evaluates the 16
+    high-res pixels of the 4x4 window around each lookup's 2x2 taps, the dense block
+    evaluates all P*H*W decoded pixels, and the window op runs while it does no more
+    of that work: 16*M <= P*H*W. With 2,048-sample batches (about 3,800 lookups)
+    this restricts on the reference architecture (128x128 grids) and stays dense on
+    the desk architecture (32x32 grids); a single point reads a few pixels per patch.
     """
     pair_uv = np.asarray(pair_uv, dtype=params.dtype())
     if grids is None:
         h, w = params.config.grid_size()
-        if 16 * len(pair_patch) <= _RESTRICT_MAX_HALO * params.n_patches * h * w:
+        if 16 * len(pair_patch) <= params.n_patches * h * w:
             feats = ad.residual_block_at(_decode(params.codes, params.cnn[:-1]), *params.cnn[-1],
                                          pair_patch, pair_uv)
         else:

@@ -76,7 +76,7 @@ class PatchSet:
     vertex_cover: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _face_uv: np.ndarray = field(init=False, repr=False, compare=False)
     _uncovered_faces: np.ndarray = field(init=False, repr=False, compare=False)
-    _line_pack: list | None = field(default=None, init=False, repr=False, compare=False)
+    _line_pack: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         charts = [p.chart for p in self.patches]
@@ -85,6 +85,16 @@ class PatchSet:
         # the face grouping's permutation orders the charts' corner uv like face_cover
         self._face_uv = np.concatenate([np.empty((0, 3, 2)), *(c.uv[c.faces] for c in charts)])[rows]
         self._uncovered_faces = np.flatnonzero(np.diff(self.face_cover[0]) == 0)
+        self._line_pack = []
+        for c in charts:
+            poly = c.uv[c.boundary]
+            area2 = np.sum(poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1])
+            pts = poly if area2 > 0 else poly[::-1]
+            d = np.roll(pts, -1, axis=0) - pts
+            ln = np.maximum(np.linalg.norm(d, axis=1), 1e-300)
+            # inward (left) normal of a counterclockwise polygon edge
+            w = np.stack([-d[:, 1] / ln, d[:, 0] / ln])
+            self._line_pack.append((w, w[0] * pts[:, 0] + w[1] * pts[:, 1]))
 
     @property
     def n_patches(self) -> int:
@@ -106,18 +116,6 @@ class PatchSet:
         convex and the nearest boundary feature of an interior point is always the
         perpendicular foot on an edge; the edge-line distance is then exact.
         """
-        if self._line_pack is None:
-            pack = []
-            for p in self.patches:
-                poly = p.chart.uv[p.chart.boundary]
-                area2 = np.sum(poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1])
-                pts = poly if area2 > 0 else poly[::-1]
-                d = np.roll(pts, -1, axis=0) - pts
-                ln = np.maximum(np.linalg.norm(d, axis=1), 1e-300)
-                # inward (left) normal of a counterclockwise polygon edge
-                w = np.stack([-d[:, 1] / ln, d[:, 0] / ln])
-                pack.append((w, w[0] * pts[:, 0] + w[1] * pts[:, 1]))
-            self._line_pack = pack
         return self._line_pack
 
     def face_pair_table(self):

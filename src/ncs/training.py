@@ -184,9 +184,10 @@ def fit(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet, params: Mode
 
     Per iteration: sample a fresh batch, build (1-lam)*L_joint + lam*L_reg on one
     tape, backprop, and take two RMSProp steps (coarse group at lr_coarse, fine
-    group at lr_fine). Samples hitting a degenerate frame are redrawn once, then
-    dropped (counted). A non-finite loss writes a final checkpoint (when a callback
-    is given) and raises NumericError.
+    group at lr_fine). A batch hitting a degenerate frame is redrawn once, then its
+    flagged samples are dropped (counted); a third failure raises NumericError. A
+    non-finite loss writes a final checkpoint (when a callback is given) and raises
+    NumericError.
     """
     ctx = build_context(mesh, global_chart, patchset)
     opt_c = ad.RMSProp(params.coarse_tensors())
@@ -198,7 +199,6 @@ def fit(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet, params: Mode
     for t in range(schedule.total_iters):
         lam, lr_c, lr_f = schedule_at(schedule, t)
         batch = sample_batch(ctx, batch_size, _iteration_seed(seed, t))
-        tape = None
         for attempt in range(3):
             try:
                 with ad.Tape() as tape:
@@ -206,6 +206,9 @@ def fit(mesh: TriMesh, global_chart: DiskChart, patchset: PatchSet, params: Mode
                     loss = ad.add(ad.scale(lj, 1.0 - lam), ad.scale(lr_, lam))
                 break
             except FrameDegenerateError as e:
+                if attempt == 2:
+                    raise NumericError(f"iteration {t}: degenerate frames remain after dropping "
+                                       "the flagged samples") from e
                 n_bad = int(e.mask.sum()) if e.mask is not None else len(batch)
                 result.dropped_samples += n_bad
                 if attempt == 0:

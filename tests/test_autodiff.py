@@ -404,6 +404,19 @@ class TestResidualBlockAt:
             want = [(ty + i + 1) * 4 + tx + j + 1 for i in range(-1, 2) for j in range(-1, 2)]
             assert np.array_equal(np.argmax(ad._CONV2_AT[t], axis=0), want)
 
+    def test_residual_reads_the_nearest_2x_pixel_under_each_tap(self):
+        # a tap origin (y0, x0) of class e = 2*(y0 mod 2) + (x0 mod 2) reads its patch
+        # from low-res ((y0-2)//2, (x0-2)//2); tap (ty, tx) sits on high-res pixel
+        # (y0+ty, x0+tx), which nearest 2x takes from low-res ((y0+ty)//2, (x0+tx)//2)
+        assert ad._TAP_AT.shape == (4, 4)
+        for y0 in (6, 7):
+            for x0 in (10, 11):
+                e = 2 * (y0 % 2) + x0 % 2
+                for t in range(4):
+                    ty, tx = divmod(t, 2)
+                    row, col = (y0 + ty) // 2 - (y0 - 2) // 2, (x0 + tx) // 2 - (x0 - 2) // 2
+                    assert ad._TAP_AT[e, t] == 4 * row + col
+
     def test_rejects_kernel_channel_mismatch(self):
         x = ad.param(np.zeros((2, 3, 3, 3), dtype=np.float32))
         k = ad.param(np.zeros((2, 2, 3, 3), dtype=np.float32))

@@ -250,8 +250,8 @@ def _spy_restricted(monkeypatch):
 
 class TestRestrictedDecode:
     """Without decoded grids, the fine branch runs the last CNN block only in each
-    lookup's 4x4 window, when those windows cover at most half of the decoded pixels;
-    it matches the dense decode followed by grid_sample."""
+    lookup's 4x4 window, when those windows hold no more pixels than the decoded
+    grids; it matches the dense decode followed by grid_sample."""
 
     TOL = {np.float32: 1e-5, np.float64: 1e-12}  # relative to the oracle's max |value|
 
@@ -312,41 +312,77 @@ class TestRestrictedDecode:
         assert err < 1e-6
 
 
-@pytest.fixture(scope="module")
-def bumpy64():
-    """The benchmark mesh and patches: bumpy_plane(64), radius 0.25, forbid 0.5, seed 11."""
+def _benchmark_problem(grid_n):
+    """A benchmark mesh and its patches: bumpy_plane(grid_n), radius 0.25, forbid 0.5, seed 11."""
     from ncs.patching import extract_patches
-    mesh = normalize_unit_sphere(synth.bumpy_plane(64))
+    mesh = normalize_unit_sphere(synth.bumpy_plane(grid_n))
     chart = embed_disk(mesh)
     patchset = extract_patches(mesh, 0.25, 0.5, seed=11)
     return patchset, tr.build_context(mesh, chart, patchset)
 
 
+@pytest.fixture(scope="module")
+def bumpy64():
+    """The desk and reference workloads' mesh and patches."""
+    return _benchmark_problem(64)
+
+
+@pytest.fixture(scope="module")
+def bumpy200():
+    """The large_mesh workload's mesh and patches."""
+    return _benchmark_problem(200)
+
+
+def _share(params, batch):
+    """The restrict rule's share: window pixels 16*M over decoded pixels P*H*W."""
+    h, w = params.config.grid_size()
+    return 16 * len(batch.pair_patch) / (params.n_patches * h * w)
+
+
 class TestRestrictRule:
-    """With 2,048-sample batches the desk architecture keeps the dense decode, where the
-    restricted block is slower, and the reference architecture takes the restricted one;
-    both sit far from the one-half threshold."""
+    """The last block runs in the lookup windows exactly while 16*M <= P*H*W. With the
+    benchmark's 2,048-sample batches desk and large_mesh keep the dense decode and
+    reference takes the windows, each far from a share of 1."""
 
     DESK = mo.ArchConfig(coarse_widths=(32, 32), code_shape=(4, 4, 4), cnn_channels=4,
                          cnn_blocks=3, fine_widths=(16, 16))
 
-    @pytest.mark.parametrize("arch,restricted", [("desk", False), ("reference", True)])
-    def test_path_on_benchmark_shapes(self, bumpy64, arch, restricted, monkeypatch):
-        patchset, ctx = bumpy64
-        cfg = self.DESK if arch == "desk" else REFERENCE_100K
+    @pytest.mark.parametrize("workload,restricted", [("desk", False), ("reference", True),
+                                                     ("large_mesh", False)])
+    def test_path_on_benchmark_shapes(self, request, workload, restricted, monkeypatch):
+        patchset, ctx = request.getfixturevalue("bumpy200" if workload == "large_mesh" else "bumpy64")
+        cfg = REFERENCE_100K if workload == "reference" else self.DESK
         params = mo.build_model(cfg, patchset, seed=3)
         batch = tr.sample_batch(ctx, 2048, seed=0)
-        h, w = cfg.grid_size()
-        share = 16 * len(batch.pair_patch) / (patchset.n_patches * h * w)  # window pixels read
-        assert (share < 0.3) if restricted else (share > 0.7)
+        share = _share(params, batch)
+        assert (share < 0.5) if restricted else (share > 2)
         calls = _spy_restricted(monkeypatch)
         tr.forward_losses(params, batch)
         assert bool(calls) == restricted
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,restricted", [(640, True), (760, False)])
+    def test_flips_at_share_one(self, bumpy64, n, restricted, dtype, monkeypatch):
+        patchset, ctx = bumpy64
+        params = _as_dtype(mo.build_model(self.DESK, patchset, seed=3), dtype)
+        r = np.random.default_rng(1)  # a nonzero fine output layer, so the CNN gets gradients
+        params.fine[-1][0].data[:] = r.normal(scale=0.3, size=params.fine[-1][0].shape)
+        batch = tr.sample_batch(ctx, n, seed=0)
+        share = _share(params, batch)
+        assert (0.9 < share <= 1) if restricted else (1 < share < 1.15)
+        calls = _spy_restricted(monkeypatch)
+        got = TestRestrictedDecode._displacement(params, batch, dense=False)
+        assert calls == ([len(batch.pair_patch)] if restricted else [])
+        want = TestRestrictedDecode._displacement(params, batch, dense=True)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.dtype == dtype
+            assert float(np.abs(a - b).max()) <= TestRestrictedDecode.TOL[dtype] * float(np.abs(b).max())
+
 
 class TestDtypeBoundary:
     """The model rounds its inputs to its own dtype: float64 chart points and pair
-    arrays, as `face_pairs` builds them, give the bytes of their float32 casts."""
+    arrays, as `face_pairs` builds them, give the bytes of their float32 casts, on
+    either side of the restrict rule."""
 
     @pytest.mark.parametrize("n,restricted", [(256, False), (2, True)])
     def test_float64_inputs_match_float32_casts(self, bumpy16, fitted_small, n, restricted,
@@ -357,7 +393,7 @@ class TestDtypeBoundary:
         ps, pp, puv, pw = face_pairs(patchset, faces, bary)
         assert q.dtype == puv.dtype == pw.dtype == np.float64
         h, w = fitted_small.config.grid_size()
-        assert (16 * len(pp) <= 0.5 * patchset.n_patches * h * w) == restricted
+        assert (16 * len(pp) <= patchset.n_patches * h * w) == restricted
         calls = _spy_restricted(monkeypatch)
         wide, _ = mo.evaluate_batch(fitted_small, q, ps, pp, puv, pw)
         assert bool(calls) == restricted

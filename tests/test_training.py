@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -309,3 +310,53 @@ class TestDegenerateHandling:
             tr.fit(mesh, chart, patchset, params, sched, batch_size=16, seed=0,
                    log_every=0, checkpoint_cb=lambda it, p, o: saved.append(it))
         assert saved  # last-good state was handed to the callback before aborting
+
+
+class TestDegenerateRetries:
+    """The retry ladder of `fit`: a batch that hits a degenerate frame is redrawn once
+    (salt 1), then its flagged samples are dropped; a third failure raises."""
+
+    SCHED = tr.TrainSchedule(warmup_iters=0, total_iters=3, base_lr=1e-4)
+
+    @staticmethod
+    def _fake_forward(monkeypatch, fails):
+        """Replace forward_losses by the real forward that then raises FrameDegenerateError,
+        flagging sample 1, on the calls `fails(call)` picks; returns the batches seen."""
+        from ncs.errors import FrameDegenerateError
+        real, seen = tr.forward_losses, []
+
+        def fake(params, batch):
+            seen.append(batch)
+            out = real(params, batch)
+            if fails(len(seen) - 1):
+                mask = np.zeros(len(batch), dtype=bool)
+                mask[1] = True
+                raise FrameDegenerateError(mask=mask)
+            return out
+
+        monkeypatch.setattr(tr, "forward_losses", fake)
+        return seen
+
+    @pytest.mark.parametrize("first_failing_call,iteration", [(0, 0), (1, 1)])
+    def test_third_failure_raises(self, tiny_setup, monkeypatch, first_failing_call, iteration):
+        from ncs.errors import NumericError
+        mesh, chart, patchset, _, cfg = tiny_setup
+        params = mo.build_model(cfg, patchset, seed=0)
+        self._fake_forward(monkeypatch, lambda call: call >= first_failing_call)
+        with pytest.raises(NumericError, match=f"iteration {iteration}:"):
+            tr.fit(mesh, chart, patchset, params, self.SCHED, batch_size=16, seed=5, log_every=1)
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_trains_on_redrawn_then_filtered_batch(self, tiny_setup, monkeypatch, failures):
+        mesh, chart, patchset, ctx, cfg = tiny_setup
+        params = mo.build_model(cfg, patchset, seed=0)
+        seen = self._fake_forward(monkeypatch, lambda call: call < failures)
+        res = tr.fit(mesh, chart, patchset, params, dataclasses.replace(self.SCHED, total_iters=1),
+                     batch_size=16, seed=5, log_every=1)
+        want = tr.sample_batch(ctx, 16, tr._iteration_seed(5, 0, 1))
+        if failures == 2:
+            want = tr._filter_batch(want, np.arange(16) != 1)
+        assert len(seen) == failures + 1 and len(want) == 17 - failures
+        assert all(np.array_equal(getattr(seen[-1], f), getattr(want, f))
+                   for f in ("q", "target", "pair_sample", "pair_patch", "pair_uv", "pair_w"))
+        assert res.dropped_samples == failures
